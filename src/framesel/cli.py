@@ -41,6 +41,7 @@ from .selector import (
     complement_lower_bound,
     load_certificate,
     save_certificate,
+    select_prefixes,
     select_subset,
     verify_certificate,
 )
@@ -107,12 +108,12 @@ def _sweep_rows(args: argparse.Namespace, tols: Tolerances):
     if args.N_list:
         for N in args.N_list:
             frame = harmonic_frame(args.k, N, tols)
-            n = round(args.ratio * frame.m)
-            yield frame, n
+            yield frame, select_subset(frame, round(args.ratio * frame.m), tols)
     else:
+        # one greedy run serves the whole n-range: each n is a prefix of it
         frame = harmonic_frame(args.k, args.N, tols)
-        for n in range(args.n_min, args.n_max + 1):
-            yield frame, n
+        for cert in select_prefixes(frame, range(args.n_min, args.n_max + 1), tols):
+            yield frame, cert
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -127,15 +128,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         out.write(",".join(CSV_COLUMNS) + "\n")
-        for frame, n in _sweep_rows(args, tols):
-            cert = select_subset(frame, n, tols)
+        for frame, cert in _sweep_rows(args, tols):
             comp_min, _ = complement_lower_bound(frame, cert, tols)
             root = frame.N ** 0.5
             row = (
                 str(frame.k),
                 str(frame.N),
                 str(frame.m),
-                str(n),
+                str(cert.n),
                 _fmt(cert.lambda_max),
                 _fmt(cert.bound),
                 _fmt(cert.excess),

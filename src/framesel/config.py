@@ -15,7 +15,6 @@ class Tolerances:
     """
 
     hermitian_atol: float = 1e-12        # conjugate-symmetry defect, absolute
-    psd_floor: float = -1e-9             # smallest admissible eigenvalue
     jacobi_offdiag_rtol: float = 1e-13   # off-diagonal target, rel. Frobenius
     jacobi_max_sweeps: int = 100
     eigh_backend: str = "lapack"         # "lapack" or "jacobi"
@@ -25,8 +24,6 @@ class Tolerances:
     denominator_floor: float = 1e-14     # rank-one update singularity guard
     feasibility_slack: float = 1e-9      # U <= 1 + slack admits a candidate
     potential_slack: float = 1e-10       # allowed potential rise per step
-    bound_slack: float = 1e-9            # slack on strict spectral bounds
-    trace_rtol: float = 1e-8             # trace-identity check, relative to m
     m_cap: int = 100_000                 # largest frame we will construct
     katz_build_cap: int = 200_000        # largest |X| = C(2N, N) enumerated
     katz_exhaustive_max_n: int = 6       # exhaustive dichotomy up to 2^(2N)

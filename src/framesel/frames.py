@@ -48,11 +48,6 @@ class FrameFamily:
     def m(self) -> int:
         return int(self.vectors.shape[0])
 
-    @property
-    def synthesis(self) -> np.ndarray:
-        """The k x m matrix whose columns are the frame vectors."""
-        return self.vectors.T
-
     def rank_one_sum(self, indices=None) -> np.ndarray:
         """sum of v_i (x) v_i over the given 1-based indices (all by default)."""
         if indices is None:

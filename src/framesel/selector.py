@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,11 +153,11 @@ def barrier_push_check(
 
 @dataclass(frozen=True, eq=False)
 class SelectionState:
-    """Mid-run snapshot: chosen prefix, unused indices, and the running sum."""
+    """Mid-run snapshot, never modified: chosen prefix, unused indices, and the running sum."""
 
     frame: FrameFamily
     chosen: tuple[int, ...]     # 1-based, in selection order
-    remaining: tuple[int, ...]  # 1-based, ascending
+    remaining: np.ndarray       # (m - j,) int64, 1-based, ascending, read-only; new per step
     T: np.ndarray               # (k, k) rank-one sum over chosen
     step: int                   # j = len(chosen)
     eig: EigenSystem | None = field(default=None, compare=False)  # cached factorization of T
@@ -212,32 +213,17 @@ def initial_selection_state(F: FrameFamily) -> SelectionState:
         eigenvalues=np.zeros(F.k, dtype=np.float64),
         eigenvectors=np.eye(F.k, dtype=np.complex128),
     )
-    return SelectionState(
-        frame=F, chosen=(), remaining=tuple(range(1, F.m + 1)), T=T, step=0, eig=eig
-    )
+    remaining = np.arange(1, F.m + 1, dtype=np.int64)
+    remaining.setflags(write=False)
+    return SelectionState(frame=F, chosen=(), remaining=remaining, T=T, step=0, eig=eig)
 
 
-def _feasibility_profile(eig: EigenSystem, candidates: np.ndarray, a: float, a_next: float, gap: float) -> np.ndarray:
-    """U values for a batch of candidate row vectors, through one eigenbasis."""
-    w2 = np.abs(candidates @ eig.eigenvectors.conj()) ** 2
-    inv_next = 1.0 / (a_next - eig.eigenvalues)
-    return (w2 @ inv_next**2) / gap + w2 @ inv_next
-
-
-def selection_step(
-    state: SelectionState, schedule: BarrierSchedule, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[SelectionState, SelectionStep]:
-    """One greedy step: pick the unused vector with the smallest U and add it.
-
-    Exact ties go to the smallest index, so runs are deterministic. Raises
-    SelectionError (with the full U profile attached) if no candidate is
-    feasible, and ToleranceBreachError if a certified inequality fails after
-    the update.
-    """
+def _scan(state: SelectionState, schedule: BarrierSchedule, tols: Tolerances) -> tuple:
+    """(a_j, a_{j+1}, eigensystem of T_j, U of every unused vector via that eigenbasis)."""
     j = state.step
     if j >= schedule.n:
         raise ValueError(f"schedule exhausted: step {j} of {schedule.n}")
-    if not state.remaining:
+    if state.remaining.size == 0:
         raise ValueError("no vectors remain")
     a = float(schedule.values[j])
     a_next = float(schedule.values[j + 1])
@@ -249,11 +235,25 @@ def selection_step(
     gap = _potential_gap(eig.eigenvalues, a, a_next)
     if gap <= tols.gap_floor:
         raise BarrierError(f"potential gap {gap:.3e} at or below the floor {tols.gap_floor:.1e}")
-    phi_now = _potential(eig.eigenvalues, a)
+    w2 = np.abs(state.frame.vectors[state.remaining - 1] @ eig.eigenvectors.conj()) ** 2
+    inv_next = 1.0 / (a_next - eig.eigenvalues)
+    return a, a_next, eig, (w2 @ inv_next**2) / gap + w2 @ inv_next
 
-    remaining = np.asarray(state.remaining, dtype=np.int64)
-    candidates = state.frame.vectors[remaining - 1]
-    profile = _feasibility_profile(eig, candidates, a, a_next, gap)
+
+def selection_step(
+    state: SelectionState, schedule: BarrierSchedule, tols: Tolerances = DEFAULT_TOLS
+) -> tuple[SelectionState, SelectionStep]:
+    """One greedy step: pick the unused vector with the smallest U and add it.
+
+    Returns a new state, whose ``remaining`` lacks the chosen index, and the
+    step's record. Exact ties go to the smallest index, so runs are
+    deterministic. Raises SelectionError (with the U profile and the unused
+    indices attached) if no candidate is feasible, and ToleranceBreachError
+    if a certified inequality fails after the update.
+    """
+    j = state.step
+    a, a_next, eig, profile = _scan(state, schedule, tols)
+    phi_now = _potential(eig.eigenvalues, a)
     pos = int(np.argmin(profile))  # first minimum = smallest index on ties
     u_best = float(profile[pos])
     if u_best > 1.0 + tols.feasibility_slack:
@@ -264,7 +264,7 @@ def selection_step(
             remaining=state.remaining,
         )
 
-    index = int(remaining[pos])
+    index = int(state.remaining[pos])
     v = state.frame.vectors[index - 1]
     T_next = outer_product_accumulate(state.T, v)
     eig_next = eigh(T_next, tols)
@@ -290,15 +290,52 @@ def selection_step(
         feasibility_sum=float(profile.sum()),
         remaining_count=len(profile),
     )
+    remaining = np.delete(state.remaining, pos)
+    remaining.setflags(write=False)
     next_state = SelectionState(
         frame=state.frame,
         chosen=state.chosen + (index,),
-        remaining=tuple(int(i) for i in remaining[remaining != index]),
+        remaining=remaining,
         T=T_next,
         step=j + 1,
         eig=eig_next,
     )
     return next_state, record
+
+
+def select_prefixes(
+    F: FrameFamily, ns: Iterable[int], tols: Tolerances = DEFAULT_TOLS
+) -> Iterator[SelectionCertificate]:
+    """Yield ``select_subset(F, n, tols)`` for each n of the nondecreasing ``ns``, from one run.
+
+    a_j does not depend on n, so the run for n is the first n steps of any
+    longer run: each step is taken once. An n outside 1..m-1 raises
+    ValueError when reached, after the certificates before it.
+    """
+    report = validate_frame(F, tols.frame_tol, tols)
+    if not report.count_ok:
+        raise FrameError(f"invalid frame: {report.summary()}")
+    if report.norm_deviation > tols.rescale_limit or report.parseval_deviation > tols.rescale_limit:
+        raise FrameError(f"frame too far from contract: {report.summary()}")
+    state = initial_selection_state(F)
+    steps = []
+    for n in ns:
+        if not 1 <= n < F.m:
+            raise ValueError(f"n must satisfy 1 <= n < m = {F.m}, got {n}")
+        if n < state.step:
+            raise ValueError(f"n must not decrease, got {n} after {state.step}")
+        schedule = barrier_schedule(F.N, F.m, n)
+        while state.step < n:
+            state, record = selection_step(state, schedule, tols)
+            steps.append(record)
+        yield SelectionCertificate(
+            schedule=schedule,
+            steps=tuple(steps),
+            indices=tuple(sorted(state.chosen)),
+            eigenvalues=state.eig.eigenvalues.copy(),
+            bound=schedule.bound,
+            norm_deviation=report.norm_deviation,
+        )
 
 
 def select_subset(F: FrameFamily, n: int, tols: Tolerances = DEFAULT_TOLS) -> SelectionCertificate:
@@ -309,28 +346,7 @@ def select_subset(F: FrameFamily, n: int, tols: Tolerances = DEFAULT_TOLS) -> Se
     are tolerated (the guarantee degrades gracefully) and recorded on the
     certificate. Requires 1 <= n < m.
     """
-    report = validate_frame(F, tols.frame_tol, tols)
-    if not report.count_ok:
-        raise FrameError(f"invalid frame: {report.summary()}")
-    if report.norm_deviation > tols.rescale_limit or report.parseval_deviation > tols.rescale_limit:
-        raise FrameError(f"frame too far from contract: {report.summary()}")
-    if not 1 <= n < F.m:
-        raise ValueError(f"n must satisfy 1 <= n < m = {F.m}, got {n}")
-
-    schedule = barrier_schedule(F.N, F.m, n)
-    state = initial_selection_state(F)
-    steps = []
-    for _ in range(n):
-        state, record = selection_step(state, schedule, tols)
-        steps.append(record)
-    return SelectionCertificate(
-        schedule=schedule,
-        steps=tuple(steps),
-        indices=tuple(sorted(state.chosen)),
-        eigenvalues=state.eig.eigenvalues.copy(),
-        bound=schedule.bound,
-        norm_deviation=report.norm_deviation,
-    )
+    return next(select_prefixes(F, (n,), tols))
 
 
 def averaging_identity_check(
@@ -341,18 +357,7 @@ def averaging_identity_check(
     For exact frames the sum never exceeds the count (the proof's averaging
     step), which is why the greedy choice always finds U <= 1.
     """
-    j = state.step
-    if j >= schedule.n:
-        raise ValueError(f"state at step {j} has no next barrier in a schedule of length {schedule.n}")
-    a = float(schedule.values[j])
-    a_next = float(schedule.values[j + 1])
-    eig = state.eig if state.eig is not None else eigh(state.T, tols)
-    if eig.lambda_max >= a:
-        raise BarrierError(f"lambda_max = {eig.lambda_max} >= a_j = {a}")
-    gap = _potential_gap(eig.eigenvalues, a, a_next)
-    remaining = np.asarray(state.remaining, dtype=np.int64)
-    candidates = state.frame.vectors[remaining - 1]
-    profile = _feasibility_profile(eig, candidates, a, a_next, gap)
+    profile = _scan(state, schedule, tols)[3]
     return float(profile.sum()), len(profile)
 
 

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from framesel import load_certificate, load_frame, verify_certificate
-from framesel.cli import main
+from framesel import complement_lower_bound, load_certificate, load_frame, verify_certificate
+from framesel.cli import CSV_COLUMNS, main
 
 
 def run(*argv):
@@ -132,6 +132,28 @@ class TestSweep:
             parts = line.split(",")
             n, m = int(parts[3]), int(parts[2])
             assert n * 2 == m
+
+    def test_n_range_bytes_match_independent_runs(self, tmp_path, fresh_runs_8_25):
+        frame, fresh = fresh_runs_8_25
+        lines = ["k,N,m,n,lambda_max,a_n,excess,excess_sqrt_N,complement_lambda_min"]
+        for n, cert in fresh.items():
+            comp_min, _ = complement_lower_bound(frame, cert)
+            values = (cert.lambda_max, cert.bound, cert.excess, cert.excess * 25 ** 0.5, comp_min)
+            lines.append(f"8,25,200,{n}," + ",".join("%.17g" % x for x in values))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--k", 8, "--N", 25, "--n-min", 1, "--n-max", 199, "--out", out) == 0
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_n_max_beyond_m_writes_valid_rows_then_fails(self, capsys):
+        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 8) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == [str(n) for n in range(1, 8)]
+        assert "got 8" in captured.err
+
+    def test_n_min_zero_writes_header_then_fails(self, capsys):
+        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 0, "--n-max", 3) == 2
+        assert capsys.readouterr().out.strip().splitlines() == [",".join(CSV_COLUMNS)]
 
     def test_requires_consistent_flags(self):
         assert run("sweep", "--k", 2) == 2

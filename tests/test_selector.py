@@ -27,6 +27,7 @@ from framesel import (
     load_certificate,
     modulated_harmonic_frame,
     save_certificate,
+    select_prefixes,
     select_subset,
     selection_step,
     upper_potential,
@@ -285,6 +286,7 @@ class TestSelection:
             select_subset(F, 2, tols)
         assert err.value.u_profile is not None
         assert len(err.value.u_profile) == F.m
+        assert err.value.remaining.tolist() == list(range(1, F.m + 1))
 
     def test_schedule_exhaustion_and_empty_remaining(self):
         F = harmonic_frame(1, 3)
@@ -293,6 +295,67 @@ class TestSelection:
         state, _ = selection_step(state, sched)
         with pytest.raises(ValueError):
             selection_step(state, sched)
+
+    def test_remaining_is_a_fresh_read_only_array_per_step(self):
+        F = harmonic_frame(2, 4)
+        sched = barrier_schedule(F.N, F.m, 3)
+        state = initial_selection_state(F)
+        assert state.remaining.dtype == np.int64
+        assert state.remaining.tolist() == list(range(1, F.m + 1))
+        for _ in range(3):
+            before = state.remaining.copy()
+            nxt, step = selection_step(state, sched)
+            assert np.array_equal(state.remaining, before)  # the old state is untouched
+            assert nxt.remaining.tolist() == [i for i in before.tolist() if i != step.index]
+            assert not nxt.remaining.flags.writeable
+            with pytest.raises(ValueError):
+                nxt.remaining[0] = 0
+            state = nxt
+
+
+def assert_same_certificate(got, want):
+    assert got.steps == want.steps  # every recorded float, bit for bit
+    assert got.indices == want.indices
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.bound == want.bound
+    assert got.schedule.n == want.schedule.n
+    assert got.schedule.values.tobytes() == want.schedule.values.tobytes()
+    assert got.norm_deviation == want.norm_deviation
+
+
+class TestPrefixes:
+    """One greedy pass must reproduce every fresh run it stands in for."""
+
+    def test_every_n_on_harmonic_frame(self, fresh_runs_8_25):
+        frame, fresh = fresh_runs_8_25
+        ns = range(1, frame.m)
+        for n, cert in zip(ns, select_prefixes(frame, ns), strict=True):
+            assert_same_certificate(cert, fresh[n])
+
+    def test_every_n_on_modulated_frame(self):
+        frame = modulated_harmonic_frame(6, 16, seed=3)
+        ns = range(1, frame.m)
+        for n, cert in zip(ns, select_prefixes(frame, ns), strict=True):
+            assert_same_certificate(cert, select_subset(frame, n))
+
+    def test_repeated_and_skipped_n(self):
+        frame = harmonic_frame(3, 8)
+        ns = [2, 2, 5, 11, 23]
+        for n, cert in zip(ns, select_prefixes(frame, ns), strict=True):
+            assert_same_certificate(cert, select_subset(frame, n))
+
+    def test_bad_n_raises_when_reached(self):
+        frame = harmonic_frame(2, 4)
+        prefixes = select_prefixes(frame, [3, 8])
+        assert next(prefixes).n == 3
+        with pytest.raises(ValueError):
+            next(prefixes)
+
+    def test_decreasing_n_rejected(self):
+        prefixes = select_prefixes(harmonic_frame(2, 4), [3, 2])
+        next(prefixes)
+        with pytest.raises(ValueError):
+            next(prefixes)
 
 
 class TestAveraging:
