@@ -226,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of vectors to select (1 <= n < m)")
     p.add_argument("--out", default="certificate.json", help="output path (default certificate.json)")
     p.add_argument("--tol", type=float, default=None, help="frame validation tolerance override")
-    p.add_argument("--threads", type=int, default=None,
-                   help="hint for the candidate scan; never changes any output byte")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("sweep", help="selections over an n-range or an N-list, as CSV")
@@ -240,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.5, help="n/m for --N-list runs (default 0.5)")
     p.add_argument("--out", default=None, help="CSV path (default: standard output)")
     p.add_argument("--tol", type=float, default=None, help="frame validation tolerance override")
-    p.add_argument("--threads", type=int, default=None,
-                   help="hint for the candidate scan; never changes any output byte")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("katz", help="set-system dichotomy check")

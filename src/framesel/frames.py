@@ -285,15 +285,24 @@ def frame_from_dict(data: dict) -> FrameFamily:
     return FrameFamily(k=k, N=N, vectors=vectors)
 
 
-def save_frame(F: FrameFamily, path) -> None:
+def _write_json(data: dict, path) -> None:
+    """The package's JSON file form: utf-8, no NaN or Inf, indent 1, trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(frame_to_dict(F), fh, allow_nan=False, indent=1)
+        json.dump(data, fh, allow_nan=False, indent=1)
         fh.write("\n")
 
 
-def load_frame(path) -> FrameFamily:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return frame_from_dict(json.load(fh))
+        return json.load(fh)
+
+
+def save_frame(F: FrameFamily, path) -> None:
+    _write_json(frame_to_dict(F), path)
+
+
+def load_frame(path) -> FrameFamily:
+    return frame_from_dict(_read_json(path))
 
 
 def projection_to_dict(P: np.ndarray) -> dict:
@@ -314,11 +323,8 @@ def projection_from_dict(data: dict) -> np.ndarray:
 
 
 def save_projection(P: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(projection_to_dict(P), fh, allow_nan=False, indent=1)
-        fh.write("\n")
+    _write_json(projection_to_dict(P), path)
 
 
 def load_projection(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return projection_from_dict(json.load(fh))
+    return projection_from_dict(_read_json(path))

@@ -23,7 +23,6 @@ divided by N, and reported ranges are fractions.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
+from .frames import _write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +61,7 @@ class KatzSystem:
 
     def point_members(self, point: int) -> tuple[int, ...]:
         """Decode point (0-based position) to its 1-based ground elements."""
-        mask = int(self.masks[point])
-        return tuple(i + 1 for i in range(self.ground_size) if mask >> i & 1)
+        return _members(int(self.masks[point]), self.ground_size)
 
     def intersection_counts(self, indices) -> np.ndarray:
         """|A intersect S| for every point A, as exact integers."""
@@ -72,6 +71,11 @@ class KatzSystem:
     def function_sum_values(self, indices) -> list[Fraction]:
         """g_S over all points, in point order, as exact fractions."""
         return [Fraction(int(c), self.N) for c in self.intersection_counts(indices)]
+
+
+def _members(mask: int, size: int) -> tuple[int, ...]:
+    """1-based positions of the set bits among the lowest ``size`` bits of ``mask``."""
+    return tuple(i + 1 for i in range(size) if mask >> i & 1)
 
 
 def _index_mask(system: KatzSystem, indices) -> int:
@@ -195,18 +199,15 @@ def dichotomy_check(
     both = 0
     violations: list[tuple[int, ...]] = []
     mismatches: list[tuple[int, ...]] = []
-    checked = 0
     for s_mask in s_masks:
-        checked += 1
         counts = np.bitwise_count(system.masks & np.uint64(s_mask))
         lo = int(counts.min())
         hi = int(counts.max())
         size = int(s_mask).bit_count()
         lo_expect = max(0, size - system.N)
         hi_expect = min(size, system.N)
-        members = tuple(i + 1 for i in range(g) if s_mask >> i & 1)
         if (lo, hi) != (lo_expect, hi_expect):
-            mismatches.append(members)
+            mismatches.append(_members(s_mask, g))
         at_zero = lo == 0
         at_one = hi == system.N
         if at_zero:
@@ -216,12 +217,12 @@ def dichotomy_check(
         if at_zero and at_one:
             both += 1
         if not at_zero and not at_one:
-            violations.append(members)
+            violations.append(_members(s_mask, g))
 
     return DichotomyReport(
         N=system.N,
         mode=mode,
-        subsets_checked=checked,
+        subsets_checked=len(s_masks),
         min_pinned=min_pinned,
         max_pinned=max_pinned,
         both_pinned=both,
@@ -231,6 +232,4 @@ def dichotomy_check(
 
 
 def save_dichotomy_report(report: DichotomyReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, allow_nan=False, indent=1)
-        fh.write("\n")
+    _write_json(report.to_dict(), path)

@@ -27,7 +27,6 @@ and potentials; ``verify_certificate`` recomputes all of it from scratch.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from .errors import (
     SelectionError,
     ToleranceBreachError,
 )
-from .frames import FrameFamily, validate_frame
+from .frames import FrameFamily, _read_json, _write_json, validate_frame
 from .hermitian import EigenSystem, eigh, outer_product_accumulate, resolvent_quadratic_form
 
 
@@ -88,12 +87,48 @@ def barrier_schedule(N: int, m: int, n: int) -> BarrierSchedule:
 def _potential(eigenvalues: np.ndarray, a: float) -> float:
     if a <= eigenvalues[-1]:
         raise BarrierError(f"barrier violated: a = {a} <= lambda_max = {eigenvalues[-1]}")
-    return float(np.sum(1.0 / (a - eigenvalues)))
+    return float((1.0 / (a - eigenvalues)).sum())  # the method skips np.sum's dispatch
 
 
-def _potential_gap(eigenvalues: np.ndarray, a: float, a_next: float) -> float:
+# The barrier step from (T, a, a'), shared by every caller: the potential gap,
+# U over a block of rows, and the update T -> T + v (x) v with its two checks.
+
+def _gap(eigenvalues: np.ndarray, a: float, a_next: float, tols: Tolerances) -> float:
     # Phi^a - Phi^{a_next} without cancellation: sum (a_next - a)/((a - l)(a_next - l))
-    return float((a_next - a) * np.sum(1.0 / ((a - eigenvalues) * (a_next - eigenvalues))))
+    gap = float((a_next - a) * np.sum(1.0 / ((a - eigenvalues) * (a_next - eigenvalues))))
+    if gap <= tols.gap_floor:
+        raise BarrierError(f"potential gap {gap:.3e} at or below the floor {tols.gap_floor:.1e}")
+    return gap
+
+
+def _feasibility(rows: np.ndarray, eig: EigenSystem, a_next: float, gap: float) -> np.ndarray:
+    """U of each row of the (r, k) block ``rows``, through the eigensystem of T."""
+    w2 = np.abs(rows @ eig.eigenvectors.conj()) ** 2
+    inv_next = 1.0 / (a_next - eig.eigenvalues)
+    return (w2 @ inv_next**2) / gap + w2 @ inv_next
+
+
+def _advance(
+    T: np.ndarray, eig: EigenSystem, v: np.ndarray, a: float, a_next: float, tols: Tolerances
+) -> tuple:
+    """(T + v (x) v, its eigensystem, its Phi^{a_next}, failure), given eig = eigh(T).
+
+    ``failure`` is None when the norm stays below a_next and the potential does
+    not rise above Phi^a(T) by more than ``potential_slack``; otherwise it names
+    the conclusion that broke. The potential is None when the norm broke.
+    """
+    phi = _potential(eig.eigenvalues, a)
+    T_next = outer_product_accumulate(T, v)
+    eig_next = eigh(T_next, tols)
+    lam = eig_next.lambda_max
+    if lam >= a_next:
+        failure = f"norm bound breached: lambda_max = {lam} >= a_next = {a_next} (margin {a_next - lam:.3e})"
+        return T_next, eig_next, None, failure
+    phi_next = _potential(eig_next.eigenvalues, a_next)
+    if phi_next > phi + tols.potential_slack:
+        failure = f"potential rose: {phi_next} > {phi} (excess {phi_next - phi:.3e})"
+        return T_next, eig_next, phi_next, failure
+    return T_next, eig_next, phi_next, None
 
 
 def upper_potential(T: np.ndarray, a: float, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -114,12 +149,8 @@ def feasibility_value(
         raise BarrierError(
             f"need lambda_max < a < a_next, got lambda_max={eig.lambda_max}, a={a}, a_next={a_next}"
         )
-    gap = _potential_gap(eig.eigenvalues, a, a_next)
-    if gap <= tols.gap_floor:
-        raise BarrierError(f"potential gap {gap:.3e} at or below the floor {tols.gap_floor:.1e}")
-    q2 = resolvent_quadratic_form(eig, a_next, v, 2)
-    q1 = resolvent_quadratic_form(eig, a_next, v, 1)
-    return q2 / gap + q1
+    gap = _gap(eig.eigenvalues, a, a_next, tols)
+    return float(_feasibility(np.asarray(v)[None, :], eig, a_next, gap)[0])
 
 
 def barrier_push_check(
@@ -132,23 +163,10 @@ def barrier_push_check(
     ToleranceBreachError with the margins spelled out rather than passing
     silently. Returns (norm_ok, potential at a_next after the update).
     """
-    eig_before = eigh(T, tols)
-    phi_before = _potential(eig_before.eigenvalues, a)
-    updated = outer_product_accumulate(T, v)
-    eig_after = eigh(updated, tols)
-    norm_ok = eig_after.lambda_max < a_next
-    if not norm_ok:
-        raise ToleranceBreachError(
-            f"norm bound breached: lambda_max = {eig_after.lambda_max} >= a_next = {a_next} "
-            f"(margin {a_next - eig_after.lambda_max:.3e})"
-        )
-    phi_after = _potential(eig_after.eigenvalues, a_next)
-    if phi_after > phi_before + tols.potential_slack:
-        raise ToleranceBreachError(
-            f"potential rose: {phi_after} > {phi_before} (excess {phi_after - phi_before:.3e}, "
-            f"slack {tols.potential_slack:.1e})"
-        )
-    return norm_ok, phi_after
+    _, _, phi_after, failure = _advance(T, eigh(T, tols), v, a, a_next, tols)
+    if failure is not None:
+        raise ToleranceBreachError(failure)
+    return True, phi_after
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +250,8 @@ def _scan(state: SelectionState, schedule: BarrierSchedule, tols: Tolerances) ->
         raise ToleranceBreachError(
             f"state invalid at step {j}: lambda_max = {eig.lambda_max} >= a_j = {a}"
         )
-    gap = _potential_gap(eig.eigenvalues, a, a_next)
-    if gap <= tols.gap_floor:
-        raise BarrierError(f"potential gap {gap:.3e} at or below the floor {tols.gap_floor:.1e}")
-    w2 = np.abs(state.frame.vectors[state.remaining - 1] @ eig.eigenvectors.conj()) ** 2
-    inv_next = 1.0 / (a_next - eig.eigenvalues)
-    return a, a_next, eig, (w2 @ inv_next**2) / gap + w2 @ inv_next
+    gap = _gap(eig.eigenvalues, a, a_next, tols)
+    return a, a_next, eig, _feasibility(state.frame.vectors[state.remaining - 1], eig, a_next, gap)
 
 
 def selection_step(
@@ -253,7 +267,6 @@ def selection_step(
     """
     j = state.step
     a, a_next, eig, profile = _scan(state, schedule, tols)
-    phi_now = _potential(eig.eigenvalues, a)
     pos = int(np.argmin(profile))  # first minimum = smallest index on ties
     u_best = float(profile[pos])
     if u_best > 1.0 + tols.feasibility_slack:
@@ -266,27 +279,16 @@ def selection_step(
 
     index = int(state.remaining[pos])
     v = state.frame.vectors[index - 1]
-    T_next = outer_product_accumulate(state.T, v)
-    eig_next = eigh(T_next, tols)
-    lam = eig_next.lambda_max
-    if lam >= a_next:
-        raise ToleranceBreachError(
-            f"norm bound breached at step {j + 1}: lambda_max = {lam} >= a = {a_next} "
-            f"(margin {a_next - lam:.3e})"
-        )
-    phi_next = _potential(eig_next.eigenvalues, a_next)
-    if phi_next > phi_now + tols.potential_slack:
-        raise ToleranceBreachError(
-            f"potential rose at step {j + 1}: {phi_next} > {phi_now} "
-            f"(excess {phi_next - phi_now:.3e})"
-        )
+    T_next, eig_next, phi_next, failure = _advance(state.T, eig, v, a, a_next, tols)
+    if failure is not None:
+        raise ToleranceBreachError(f"step {j + 1}: {failure}")
 
     record = SelectionStep(
         j=j + 1,
         index=index,
         feasibility=u_best,
         potential=phi_next,
-        lambda_max=lam,
+        lambda_max=eig_next.lambda_max,
         feasibility_sum=float(profile.sum()),
         remaining_count=len(profile),
     )
@@ -370,10 +372,10 @@ def complement_lower_bound(
     selected set becomes a uniform lower bound on the complement.
     """
     _require_matching(F, cert)
-    selected = set(cert.indices)
-    complement = [i for i in range(1, F.m + 1) if i not in selected]
-    comp_sum = F.rank_one_sum(complement)
-    eig = eigh(comp_sum, tols)
+    unselected = np.ones(F.m, dtype=bool)
+    unselected[np.asarray(cert.indices, dtype=np.int64) - 1] = False
+    rows = F.vectors[unselected]
+    eig = eigh(rows.T @ rows.conj(), tols)
     return eig.lambda_min, 1.0 - cert.bound
 
 
@@ -423,10 +425,12 @@ def verify_certificate(
 ) -> CertificateReport:
     """Recompute every certificate claim from the frame alone.
 
-    Replays the recorded choices step by step: feasibility of each recorded
-    U, the strict norm bound at every step, potential monotonicity from the
-    exact start k sqrt(N), agreement of the recorded numbers with recomputed
-    ones, and the final set, spectrum, and bound.
+    Replays the recorded choices step by step against the formula's
+    schedule: feasibility of each recorded U, the strict norm bound at every
+    step, potential monotonicity from the exact start k sqrt(N), agreement of
+    the recorded numbers with recomputed ones, and the final set, spectrum,
+    and bound. A step whose norm reaches its barrier ends the replay; the
+    report then fails and names that step instead of raising.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -456,48 +460,45 @@ def verify_certificate(
 
     T = np.zeros((F.k, F.k), dtype=np.complex128)
     eig = eigh(T, tols)
-    phi_prev = _potential(eig.eigenvalues, float(sched.values[0]))
     min_margin = math.inf
-    steps_ok = True
     details = []
-    for step in cert.steps:
-        a = float(sched.values[step.j - 1])
-        a_next = float(sched.values[step.j])
+    for j, step in enumerate(cert.steps, 1):
+        a, a_next = float(expected.values[j - 1]), float(expected.values[j])
         v = F.vectors[step.index - 1]
-        gap = _potential_gap(eig.eigenvalues, a, a_next)
+        if step.j != j:
+            details.append(f"step {j}: recorded as step {step.j}")
+        gap = _gap(eig.eigenvalues, a, a_next, tols)
         u = resolvent_quadratic_form(eig, a_next, v, 2) / gap + resolvent_quadratic_form(eig, a_next, v, 1)
         if abs(u - step.feasibility) > 1e-8 * max(1.0, abs(u)):
-            steps_ok = False
-            details.append(f"step {step.j}: recorded U {step.feasibility} != recomputed {u}")
+            details.append(f"step {j}: recorded U {step.feasibility} != recomputed {u}")
         if u > 1.0 + tols.feasibility_slack:
-            steps_ok = False
-            details.append(f"step {step.j}: U = {u} exceeds 1 + slack")
-        T = outer_product_accumulate(T, v)
-        eig = eigh(T, tols)
+            details.append(f"step {j}: U = {u} exceeds 1 + slack")
+        T, eig, phi, failure = _advance(T, eig, v, a, a_next, tols)
         lam = eig.lambda_max
         min_margin = min(min_margin, a_next - lam)
-        if not lam < a_next:
-            steps_ok = False
-            details.append(f"step {step.j}: lambda_max = {lam} >= a_j = {a_next}")
+        if phi is None:
+            # the norm crossed its barrier: nothing after it can replay, so name it first
+            details.insert(0, f"step {j}: {failure}")
+            final_margin = math.nan
+            final_detail = f"replay stopped at step {j} of {n}"
+            break
         if abs(lam - step.lambda_max) > 1e-8 * max(1.0, abs(lam)):
-            steps_ok = False
-            details.append(f"step {step.j}: recorded lambda_max {step.lambda_max} != recomputed {lam}")
-        phi = _potential(eig.eigenvalues, a_next)
+            details.append(f"step {j}: recorded lambda_max {step.lambda_max} != recomputed {lam}")
         if abs(phi - step.potential) > 1e-8 * max(1.0, abs(phi)):
-            steps_ok = False
-            details.append(f"step {step.j}: recorded potential {step.potential} != recomputed {phi}")
-        if phi > phi_prev + tols.potential_slack:
-            steps_ok = False
-            details.append(f"step {step.j}: potential rose {phi_prev} -> {phi}")
-        phi_prev = phi
+            details.append(f"step {j}: recorded potential {step.potential} != recomputed {phi}")
+        if failure is not None:
+            details.append(f"step {j}: {failure}")
+    else:
+        final_margin = expected.bound - eig.lambda_max
+        final_detail = f"lambda_max = {eig.lambda_max} < a_n = {expected.bound}"
+    steps_ok = not details
     check("steps", steps_ok, "all per-step claims replay" if steps_ok else "; ".join(details[:4]))
 
     spec_ok = bool(np.allclose(np.sort(eig.eigenvalues), np.sort(cert.eigenvalues), rtol=0.0, atol=1e-8))
     check("spectrum", spec_ok, "final eigenvalues match" if spec_ok else "final eigenvalues differ")
     bound_ok = abs(cert.bound - float(sched.values[-1])) <= 1e-12 * max(1.0, cert.bound)
     check("bound", bound_ok, f"bound = a_n = {cert.bound}")
-    final_margin = float(sched.values[-1]) - eig.lambda_max
-    check("final-norm", final_margin > 0.0, f"lambda_max = {eig.lambda_max} < a_n = {sched.values[-1]}")
+    check("final-norm", final_margin > 0.0, final_detail)
 
     return CertificateReport(checks=tuple(checks), final_margin=final_margin, min_step_margin=min_margin)
 
@@ -574,11 +575,8 @@ def certificate_from_dict(data: dict) -> SelectionCertificate:
 
 
 def save_certificate(cert: SelectionCertificate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_dict(cert), fh, allow_nan=False, indent=1)
-        fh.write("\n")
+    _write_json(certificate_to_dict(cert), path)
 
 
 def load_certificate(path) -> SelectionCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_dict(json.load(fh))
+    return certificate_from_dict(_read_json(path))

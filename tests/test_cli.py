@@ -88,11 +88,9 @@ class TestSelect:
         bad.write_text(json.dumps(data))
         assert run("select", "--frame", bad, "--n", 2, "--out", tmp_path / "c.json") == 2
 
-    def test_threads_flag_accepted_and_inert(self, frame_file, tmp_path):
-        c1, c2 = tmp_path / "c1.json", tmp_path / "c2.json"
-        assert run("select", "--frame", frame_file, "--n", 9, "--out", c1) == 0
-        assert run("select", "--frame", frame_file, "--n", 9, "--threads", 4, "--out", c2) == 0
-        assert c1.read_bytes() == c2.read_bytes()
+    def test_threads_flag_is_a_usage_error(self, frame_file, tmp_path):
+        assert run("select", "--frame", frame_file, "--n", 9, "--threads", 4, "--out", tmp_path / "c.json") == 2
+        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 2, "--threads", 4) == 2
 
 
 class TestSweep:
@@ -200,6 +198,22 @@ class TestVerify:
         tampered.write_text(json.dumps(data))
         assert run("verify", "--frame", frame_file, "--cert", tampered) == 1
         assert "REJECTED" in capsys.readouterr().out
+
+    def test_barrier_crossing_is_rejected_with_a_report(self, tmp_path, capsys):
+        frame, cert = tmp_path / "frame.json", tmp_path / "cert.json"
+        run("gen", "--k", 2, "--N", 25, "--out", frame)
+        run("select", "--frame", frame, "--n", 20, "--out", cert)
+        data = json.loads(cert.read_text())
+        for j, step in enumerate(data["steps"], 1):
+            step["index"] = j
+        data["final"]["indices"] = list(range(1, 21))
+        cert.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", "--frame", frame, "--cert", cert) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("certificate REJECTED\n")
+        assert "FAIL steps: step 19: norm bound breached" in captured.out
+        assert captured.err == ""
 
     def test_wrong_frame_fails_with_mismatch(self, frame_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"

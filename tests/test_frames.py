@@ -21,8 +21,15 @@ from framesel import (
     projection_from_dict,
     projection_to_frame,
     rescale_norms,
+    build_katz,
+    certificate_to_dict,
+    dichotomy_check,
+    projection_to_dict,
+    save_certificate,
+    save_dichotomy_report,
     save_frame,
     save_projection,
+    select_subset,
     validate_frame,
 )
 
@@ -293,6 +300,22 @@ class TestJsonFormats:
     def test_projection_from_dict_refuses_bad_rows(self):
         with pytest.raises(FrameError):
             projection_from_dict({"m": 2, "entries": [[[0.0, 0.0]]]})
+
+    def test_every_writer_uses_one_file_form(self, tmp_path):
+        F = harmonic_frame(2, 3)
+        P = frame_to_projection(F)
+        cert = select_subset(F, 3)
+        report = dichotomy_check(build_katz(2))
+        cases = [
+            (save_frame, F, frame_to_dict(F)),
+            (save_projection, P, projection_to_dict(P)),
+            (save_certificate, cert, certificate_to_dict(cert)),
+            (save_dichotomy_report, report, report.to_dict()),
+        ]
+        for save, obj, data in cases:
+            path = tmp_path / f"{save.__name__}.json"
+            save(obj, path)
+            assert path.read_bytes() == (json.dumps(data, allow_nan=False, indent=1) + "\n").encode("utf-8")
 
     def test_saved_file_is_plain_json(self, tmp_path):
         path = tmp_path / "f.json"

@@ -5,9 +5,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from framesel import (
+    KatzSystem,
     build_katz,
     closed_form_range,
     dichotomy_check,
@@ -148,6 +150,16 @@ class TestDichotomy:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             dichotomy_check(build_katz(2), mode="guess")
+
+    def test_confined_subsets_are_recorded_by_members(self):
+        # two disjoint points {1, 2} and {3, 4}: every S with one element
+        # from each meets both once, so it is confined and off the closed form
+        system = KatzSystem(N=2, masks=np.array([0b0011, 0b1100], dtype=np.uint64))
+        report = dichotomy_check(system, mode="exhaustive")
+        confined = ((1, 3), (2, 3), (1, 4), (2, 4))
+        assert report.violations == confined
+        assert report.closed_form_mismatches == confined
+        assert report.subsets_checked == 16
 
     def test_report_json(self, tmp_path):
         report = dichotomy_check(build_katz(2))

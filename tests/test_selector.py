@@ -1,5 +1,6 @@
 """Barrier schedule, feasibility, greedy selection, certificates."""
 
+import copy
 import math
 
 import numpy as np
@@ -296,6 +297,20 @@ class TestSelection:
         with pytest.raises(ValueError):
             selection_step(state, sched)
 
+    @pytest.mark.parametrize(
+        "F", [harmonic_frame(4, 9), modulated_harmonic_frame(6, 16, seed=3)], ids=["harmonic", "modulated"]
+    )
+    def test_recorded_feasibility_is_feasibility_value(self, F):
+        # the scan's batched U and the one-vector feasibility_value are one formula
+        n = F.m - 1
+        sched = barrier_schedule(F.N, F.m, n)
+        state = initial_selection_state(F)
+        for j in range(n):
+            T = state.T
+            state, record = selection_step(state, sched)
+            u = feasibility_value(T, F.vectors[record.index - 1], sched.values[j], sched.values[j + 1])
+            assert record.feasibility == pytest.approx(u, rel=1e-12, abs=0.0)
+
     def test_remaining_is_a_fresh_read_only_array_per_step(self):
         F = harmonic_frame(2, 4)
         sched = barrier_schedule(F.N, F.m, 3)
@@ -454,6 +469,39 @@ class TestVerification:
         # schedule off formula
         report = verify_certificate(F, tampered(lambda d: d["schedule"]["values"].__setitem__(0, 0.9)))
         assert not report.passed
+
+    def test_barrier_crossing_is_reported_not_raised(self):
+        # step indices 1..20 in order: T_19 = v_1 (x) v_1 + ... + v_19 (x) v_19
+        # reaches past a_19 = 0.675, so the replay must stop there and say so
+        F = harmonic_frame(2, 25)
+        data = certificate_to_dict(select_subset(F, 20))
+        for j, step in enumerate(data["steps"], 1):
+            step["index"] = j
+        data["final"]["indices"] = list(range(1, 21))
+        report = verify_certificate(F, certificate_from_dict(data))
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert not report.passed
+        assert not checks["steps"][0]
+        assert checks["steps"][1].startswith("step 19: norm bound breached")
+        assert checks["final-norm"] == (False, "replay stopped at step 19 of 20")
+        assert math.isnan(report.final_margin)
+        lam_19 = float(np.linalg.eigvalsh(F.rank_one_sum(range(1, 20)))[-1])
+        assert report.min_step_margin == pytest.approx(0.675 - lam_19, abs=1e-12)
+        assert report.min_step_margin < 0.0
+
+    def test_bad_step_numbers_and_schedule_are_reported(self):
+        F = harmonic_frame(2, 4)
+        base = certificate_to_dict(select_subset(F, 4))
+        data = copy.deepcopy(base)
+        data["steps"][1]["j"] = 99
+        report = verify_certificate(F, certificate_from_dict(data))
+        assert [name for name, ok, _ in report.checks if not ok] == ["steps"]
+        assert "step 2: recorded as step 99" in report.summary()
+        # a flat schedule has no potential gap; the replay runs on the formula's
+        data = copy.deepcopy(base)
+        data["schedule"]["values"][1] = data["schedule"]["values"][0]
+        report = verify_certificate(F, certificate_from_dict(data))
+        assert [name for name, ok, _ in report.checks if not ok] == ["schedule"]
 
     def test_wrong_frame_is_mismatch(self):
         F = harmonic_frame(2, 4)
