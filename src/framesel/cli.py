@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import (
     BarrierError,
     CertificateMismatchError,
@@ -70,19 +70,13 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _tols_from_args(args: argparse.Namespace) -> Tolerances:
-    if getattr(args, "tol", None) is not None:
-        return DEFAULT_TOLS.with_overrides(frame_tol=float(args.tol))
-    return DEFAULT_TOLS
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    tols = _tols_from_args(args)
     if args.kind == "harmonic":
-        frame = harmonic_frame(args.k, args.N, tols)
+        frame = harmonic_frame(args.k, args.N)
     else:
-        frame = modulated_harmonic_frame(args.k, args.N, seed=args.seed, tols=tols)
-    report = validate_frame(frame, tols.frame_tol, tols)
+        frame = modulated_harmonic_frame(args.k, args.N, seed=args.seed)
+    tols = DEFAULT_TOLS if args.tol is None else DEFAULT_TOLS.with_overrides(frame_tol=args.tol)
+    report = validate_frame(frame, tols)
     save_frame(frame, args.out)
     print(f"wrote {args.out}")
     print(report.summary())
@@ -90,9 +84,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    tols = _tols_from_args(args)
     frame = load_frame(args.frame)
-    cert = select_subset(frame, args.n, tols)
+    cert = select_subset(frame, args.n)
     save_certificate(cert, args.out)
     n, m = cert.n, cert.schedule.m
     print(f"wrote {args.out}")
@@ -104,20 +97,19 @@ def cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(args: argparse.Namespace, tols: Tolerances):
+def _sweep_rows(args: argparse.Namespace):
     if args.N_list:
         for N in args.N_list:
-            frame = harmonic_frame(args.k, N, tols)
-            yield frame, select_subset(frame, round(args.ratio * frame.m), tols)
+            frame = harmonic_frame(args.k, N)
+            yield frame, select_subset(frame, round(args.ratio * frame.m))
     else:
         # one greedy run serves the whole n-range: each n is a prefix of it
-        frame = harmonic_frame(args.k, args.N, tols)
-        for cert in select_prefixes(frame, range(args.n_min, args.n_max + 1), tols):
+        frame = harmonic_frame(args.k, args.N)
+        for cert in select_prefixes(frame, range(args.n_min, args.n_max + 1)):
             yield frame, cert
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    tols = _tols_from_args(args)
     if args.N_list is None and args.N is None:
         raise UsageError("sweep needs --N with an n-range, or --N-list with --ratio")
     if args.N_list is not None and (args.n_min is not None or args.n_max is not None):
@@ -128,8 +120,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         out.write(",".join(CSV_COLUMNS) + "\n")
-        for frame, cert in _sweep_rows(args, tols):
-            comp_min, _ = complement_lower_bound(frame, cert, tols)
+        for frame, cert in _sweep_rows(args):
+            comp_min, _ = complement_lower_bound(frame, cert)
             root = frame.N ** 0.5
             row = (
                 str(frame.k),
@@ -150,17 +142,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_katz(args: argparse.Namespace) -> int:
-    tols = _tols_from_args(args)
     if args.N < 1:
         raise UsageError(f"--N must be positive, got {args.N}")
-    if not args.sampled and args.N > tols.katz_exhaustive_max_n:
+    if not args.sampled and args.N > DEFAULT_TOLS.katz_exhaustive_max_n:
         raise UsageError(
             f"exhaustive check over 2^{2 * args.N} subsets is out of reach for N = {args.N}; "
             f"pass --sampled (with --trials and --seed) instead"
         )
-    system = build_katz(args.N, tols)
+    system = build_katz(args.N)
     mode = "sampled" if args.sampled else "exhaustive"
-    report = dichotomy_check(system, mode=mode, trials=args.trials, seed=args.seed, tols=tols)
+    report = dichotomy_check(system, mode=mode, trials=args.trials, seed=args.seed)
     save_dichotomy_report(report, args.out)
     print(f"wrote {args.out}")
     print(
@@ -175,10 +166,9 @@ def cmd_katz(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tols = _tols_from_args(args)
     frame = load_frame(args.frame)
     cert = load_certificate(args.cert)
-    report = verify_certificate(frame, cert, tols)
+    report = verify_certificate(frame, cert)
     print(report.summary())
     if report.passed:
         print("certificate verified")
@@ -225,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", required=True, help="input frame file")
     p.add_argument("--n", type=int, required=True, help="number of vectors to select (1 <= n < m)")
     p.add_argument("--out", default="certificate.json", help="output path (default certificate.json)")
-    p.add_argument("--tol", type=float, default=None, help="frame validation tolerance override")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("sweep", help="selections over an n-range or an N-list, as CSV")
@@ -237,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated N values, each run at --ratio")
     p.add_argument("--ratio", type=float, default=0.5, help="n/m for --N-list runs (default 0.5)")
     p.add_argument("--out", default=None, help="CSV path (default: standard output)")
-    p.add_argument("--tol", type=float, default=None, help="frame validation tolerance override")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("katz", help="set-system dichotomy check")
@@ -246,13 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None, help="sample count for --sampled")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed (default 0)")
     p.add_argument("--out", default="katz_report.json", help="output path (default katz_report.json)")
-    p.add_argument("--tol", type=float, default=None, help="tolerance record override")
     p.set_defaults(func=cmd_katz)
 
     p = sub.add_parser("verify", help="replay a certificate against a frame file")
     p.add_argument("--frame", required=True, help="frame file the certificate claims to describe")
     p.add_argument("--cert", required=True, help="certificate file")
-    p.add_argument("--tol", type=float, default=None, help="frame validation tolerance override")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -21,7 +21,6 @@ class Tolerances:
     frame_tol: float = 1e-9              # frame validation (norms, Parseval)
     rescale_limit: float = 1e-6          # worst norm deviation we will repair
     gap_floor: float = 1e-14             # smallest usable potential gap
-    denominator_floor: float = 1e-14     # rank-one update singularity guard
     feasibility_slack: float = 1e-9      # U <= 1 + slack admits a candidate
     potential_slack: float = 1e-10       # allowed potential rise per step
     m_cap: int = 100_000                 # largest frame we will construct

@@ -119,6 +119,12 @@ def _check_parameters(k: int, N: int, m_cap: int) -> int:
     return m
 
 
+def _dft_rows(m: int, rows: np.ndarray) -> np.ndarray:
+    """The DFT rows ``rows`` as m frame vectors: entry (i, d) is omega^(i rows[d]) / sqrt(m)."""
+    i = np.arange(m, dtype=np.int64)[:, None]
+    return np.exp(2j * np.pi * ((i * rows[None, :]) % m) / m) / math.sqrt(m)
+
+
 def harmonic_frame(k: int, N: int, tols: Tolerances = DEFAULT_TOLS) -> FrameFamily:
     """Frame from the first k rows of the m-point DFT matrix, m = k N.
 
@@ -127,10 +133,7 @@ def harmonic_frame(k: int, N: int, tols: Tolerances = DEFAULT_TOLS) -> FrameFami
     exactly Parseval up to roundoff, with every squared norm k/m = 1/N.
     """
     m = _check_parameters(k, N, tols.m_cap)
-    i = np.arange(m, dtype=np.int64)[:, None]
-    d = np.arange(k, dtype=np.int64)[None, :]
-    vectors = np.exp(2j * np.pi * ((i * d) % m) / m) / math.sqrt(m)
-    return FrameFamily(k=k, N=N, vectors=vectors)
+    return FrameFamily(k=k, N=N, vectors=_dft_rows(m, np.arange(k, dtype=np.int64)))
 
 
 def modulated_harmonic_frame(k: int, N: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> FrameFamily:
@@ -145,16 +148,11 @@ def modulated_harmonic_frame(k: int, N: int, seed: int, tols: Tolerances = DEFAU
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(m, size=k, replace=False))
     phases = np.exp(2j * np.pi * rng.random(m))
-    i = np.arange(m, dtype=np.int64)[:, None]
-    vectors = np.exp(2j * np.pi * ((i * rows[None, :]) % m) / m) / math.sqrt(m)
-    vectors = vectors * phases[:, None]
-    return FrameFamily(k=k, N=N, vectors=vectors)
+    return FrameFamily(k=k, N=N, vectors=_dft_rows(m, rows) * phases[:, None])
 
 
-def validate_frame(F: FrameFamily, tol: float | None = None, tols: Tolerances = DEFAULT_TOLS) -> FrameValidationReport:
-    """Measure norm, Parseval, and count deviations; pass iff all within tol."""
-    if tol is None:
-        tol = tols.frame_tol
+def validate_frame(F: FrameFamily, tols: Tolerances = DEFAULT_TOLS) -> FrameValidationReport:
+    """Measure norm, Parseval, and count deviations; pass iff all within ``tols.frame_tol``."""
     norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
     norm_dev = float(np.max(np.abs(norms2 - 1.0 / F.N))) if F.m else 0.0
     gram_sum = F.rank_one_sum()
@@ -166,7 +164,7 @@ def validate_frame(F: FrameFamily, tol: float | None = None, tols: Tolerances = 
         count_ok=(F.m == F.k * F.N),
         norm_deviation=norm_dev,
         parseval_deviation=parseval_dev,
-        tol=float(tol),
+        tol=float(tols.frame_tol),
     )
 
 
@@ -190,7 +188,7 @@ def rescale_norms(F: FrameFamily, tols: Tolerances = DEFAULT_TOLS) -> FrameFamil
 
 def frame_to_projection(F: FrameFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """The m x m Gram matrix G[i, j] = <v_j, v_i>: a rank-k projection with diagonal 1/N."""
-    report = validate_frame(F, tols.frame_tol, tols)
+    report = validate_frame(F, tols)
     if not report.passed:
         raise FrameError(f"invalid frame: {report.summary()}")
     return F.vectors.conj() @ F.vectors.T
@@ -249,27 +247,21 @@ def compressed_gram(P: np.ndarray, selector: DiagonalSelector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _encode_complex_rows(rows: np.ndarray) -> list:
-    out = []
-    for row in rows:
-        out.append([[float(z.real), float(z.imag)] for z in row])
-    return out
+    # a complex128 entry is its [re, im] pair of doubles in memory
+    return np.ascontiguousarray(rows, dtype=np.complex128)[..., None].view(np.float64).tolist()
 
 
 def _decode_complex_rows(data, rows: int, cols: int, what: str) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != rows:
-        raise FrameError(f"{what}: expected {rows} rows")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FrameError(f"{what}: row {i} must have {cols} entries")
-        for j, pair in enumerate(row):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise FrameError(f"{what}: entry ({i}, {j}) must be a [re, im] pair")
-            re, im = float(pair[0]), float(pair[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise FrameError(f"{what}: entry ({i}, {j}) is not finite")
-            out[i, j] = complex(re, im)
-    return out
+    try:
+        # [] has shape (0,) as an array: it is the empty block of any row length
+        pairs = np.empty((0, cols, 2)) if data == [] else np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FrameError(f"{what}: entries must be [re, im] pairs of numbers ({exc})") from exc
+    if pairs.shape != (rows, cols, 2):
+        raise FrameError(f"{what}: expected {rows} rows of {cols} [re, im] pairs, got shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise FrameError(f"{what}: entries must be finite")
+    return pairs.view(np.complex128)[..., 0]
 
 
 def frame_to_dict(F: FrameFamily) -> dict:

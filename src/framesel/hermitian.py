@@ -203,27 +203,32 @@ def resolvent_quadratic_form(eig: EigenSystem, a: float, v: np.ndarray, power: i
     return float(np.sum(w2 / (a - eig.eigenvalues) ** power))
 
 
-def sherman_morrison_resolvent_update(
-    Rinv: np.ndarray, v: np.ndarray, denominator_floor: float = DEFAULT_TOLS.denominator_floor
-) -> np.ndarray:
-    """(R + v (x) v)^{-1} from R^{-1}, by the Sherman-Morrison formula.
+_DENOMINATOR_FLOOR = 1e-14  # rank-one update singularity guard
 
-    ``Rinv`` must be the (Hermitian) inverse of a positive definite R.
-    """
+
+def _rank_one_inverse(Rinv: np.ndarray, v: np.ndarray, sign: float, what: str) -> np.ndarray:
+    """(R + sign v (x) v)^{-1} from R^{-1}, for sign = +1 or -1 (Sherman-Morrison)."""
     Rinv = np.asarray(Rinv, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 1 or Rinv.shape != (v.shape[0], v.shape[0]):
         raise ValueError(f"dimension mismatch: {Rinv.shape} versus vector length {v.shape}")
     Rv = Rinv @ v
-    denom = 1.0 + float(np.real(np.vdot(v, Rv)))
-    if denom < denominator_floor:
-        raise ValueError(f"numerically singular update: denominator {denom:.3e}")
-    return Rinv - np.outer(Rv, Rv.conj()) / denom
+    denom = 1.0 + sign * float(np.real(np.vdot(v, Rv)))
+    if denom < _DENOMINATOR_FLOOR:
+        raise ValueError(f"numerically singular {what}: denominator {denom:.3e}")
+    correction = np.outer(Rv, Rv.conj()) / denom
+    return Rinv - correction if sign > 0 else Rinv + correction
 
 
-def resolvent_rank_one_downdate(
-    Rinv: np.ndarray, v: np.ndarray, denominator_floor: float = DEFAULT_TOLS.denominator_floor
-) -> np.ndarray:
+def sherman_morrison_resolvent_update(Rinv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(R + v (x) v)^{-1} from R^{-1}, by the Sherman-Morrison formula.
+
+    ``Rinv`` must be the (Hermitian) inverse of a positive definite R.
+    """
+    return _rank_one_inverse(Rinv, v, 1.0, "update")
+
+
+def resolvent_rank_one_downdate(Rinv: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(R - v (x) v)^{-1} from R^{-1}.
 
     This is the Sherman-Morrison update with the vector's contribution
@@ -232,15 +237,7 @@ def resolvent_rank_one_downdate(
     positive definite, i.e. while the denominator 1 - <R^{-1}v, v> remains
     positive.
     """
-    Rinv = np.asarray(Rinv, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1 or Rinv.shape != (v.shape[0], v.shape[0]):
-        raise ValueError(f"dimension mismatch: {Rinv.shape} versus vector length {v.shape}")
-    Rv = Rinv @ v
-    denom = 1.0 - float(np.real(np.vdot(v, Rv)))
-    if denom < denominator_floor:
-        raise ValueError(f"numerically singular downdate: denominator {denom:.3e}")
-    return Rinv + np.outer(Rv, Rv.conj()) / denom
+    return _rank_one_inverse(Rinv, v, -1.0, "downdate")
 
 
 def composed_resolvent_inverse(a: float, vectors: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,7 +178,7 @@ class SelectionState:
     remaining: np.ndarray       # (m - j,) int64, 1-based, ascending, read-only; new per step
     T: np.ndarray               # (k, k) rank-one sum over chosen
     step: int                   # j = len(chosen)
-    eig: EigenSystem | None = field(default=None, compare=False)  # cached factorization of T
+    eig: EigenSystem            # factorization of T
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def _scan(state: SelectionState, schedule: BarrierSchedule, tols: Tolerances) ->
         raise ValueError("no vectors remain")
     a = float(schedule.values[j])
     a_next = float(schedule.values[j + 1])
-    eig = state.eig if state.eig is not None else eigh(state.T, tols)
+    eig = state.eig
     if eig.lambda_max >= a:
         raise ToleranceBreachError(
             f"state invalid at step {j}: lambda_max = {eig.lambda_max} >= a_j = {a}"
@@ -314,7 +314,7 @@ def select_prefixes(
     longer run: each step is taken once. An n outside 1..m-1 raises
     ValueError when reached, after the certificates before it.
     """
-    report = validate_frame(F, tols.frame_tol, tols)
+    report = validate_frame(F, tols)
     if not report.count_ok:
         raise FrameError(f"invalid frame: {report.summary()}")
     if report.norm_deviation > tols.rescale_limit or report.parseval_deviation > tols.rescale_limit:
@@ -445,11 +445,15 @@ def verify_certificate(
         return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
 
     sched = cert.schedule
-    expected = barrier_schedule(sched.N, sched.m, sched.n)
+    n = sched.n
+    if not (0 <= n < sched.m and len(sched.values) == n + 1):
+        detail = f"n = {n} with {len(sched.values)} values; need 0 <= n < m = {sched.m} and n + 1 values"
+        check("schedule", False, detail)
+        return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
+    expected = barrier_schedule(sched.N, sched.m, n)
     sched_ok = np.allclose(sched.values, expected.values, rtol=1e-12, atol=0.0)
     check("schedule", sched_ok, "values match the formula" if sched_ok else "schedule values off formula")
 
-    n = sched.n
     count_ok = len(cert.steps) == n and len(cert.indices) == n
     check("counts", count_ok, f"|S| = {len(cert.indices)}, steps = {len(cert.steps)}, n = {n}")
     chosen_order = [s.index for s in cert.steps]
@@ -565,7 +569,7 @@ def certificate_from_dict(data: dict) -> SelectionCertificate:
             bound=float(final["bound"]),
             norm_deviation=float(data.get("norm_deviation", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CertificateMismatchError(f"malformed certificate JSON: {exc}") from exc
     numbers = list(cert.schedule.values) + list(cert.eigenvalues) + [cert.bound, cert.norm_deviation]
     numbers += [x for s in cert.steps for x in (s.feasibility, s.potential, s.lambda_max)]

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import copy
 import json
 
 import numpy as np
@@ -39,6 +40,21 @@ class TestGen:
     def test_unwritable_path_is_io_error(self):
         assert run("gen", "--k", 2, "--N", 2, "--out", "/nonexistent/dir/f.json") == 3
 
+    def test_tol_belongs_to_gen_only(self, frame_file, tmp_path, capsys):
+        # --tol sets the frame validation tolerance, which only gen reports
+        out = tmp_path / "f.json"
+        assert run("gen", "--k", 4, "--N", 9, "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("PASS")
+        assert run("gen", "--k", 4, "--N", 9, "--tol", "1e-30", "--out", out) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("FAIL") and last.endswith("tol 1.0e-30")
+        cert = tmp_path / "c.json"
+        assert run("select", "--frame", frame_file, "--n", 9, "--out", cert) == 0
+        assert run("select", "--frame", frame_file, "--n", 9, "--tol", 1e-3, "--out", cert) == 2
+        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 2, "--tol", 1e-3) == 2
+        assert run("verify", "--frame", frame_file, "--cert", cert, "--tol", 1e-3) == 2
+        assert run("katz", "--N", 2, "--tol", 1e-3, "--out", tmp_path / "k.json") == 2
+
 
 @pytest.fixture()
 def frame_file(tmp_path):
@@ -73,10 +89,20 @@ class TestSelect:
     def test_missing_frame_is_io_error(self, tmp_path):
         assert run("select", "--frame", tmp_path / "nope.json", "--n", 2, "--out", tmp_path / "c.json") == 3
 
-    def test_malformed_frame_is_usage_error(self, tmp_path):
+    def test_malformed_frame_is_usage_error(self, frame_file, tmp_path, capsys):
+        # not JSON; an entry that is null; an integer too big for a double
+        data = json.loads(frame_file.read_text())
+        texts = ["{not json"]
+        for entry in (None, 10**400):
+            bad = copy.deepcopy(data)
+            bad["vectors"][0][0][1] = entry
+            texts.append(json.dumps(bad))
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run("select", "--frame", bad, "--n", 2, "--out", tmp_path / "c.json") == 2
+        for text in texts:
+            bad.write_text(text)
+            capsys.readouterr()
+            assert run("select", "--frame", bad, "--n", 2, "--out", tmp_path / "c.json") == 2
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_invalid_frame_is_usage_error(self, frame_file, tmp_path):
         data = json.loads(frame_file.read_text())
@@ -215,6 +241,21 @@ class TestVerify:
         assert "FAIL steps: step 19: norm bound breached" in captured.out
         assert captured.err == ""
 
+    def test_malformed_schedule_is_rejected_with_a_report(self, frame_file, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        run("select", "--frame", frame_file, "--n", 12, "--out", cert)
+        data = json.loads(cert.read_text())
+        for key, value in (("values", data["schedule"]["values"] + [1.0]), ("n", 36)):
+            bad = copy.deepcopy(data)
+            bad["schedule"][key] = value
+            cert.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert run("verify", "--frame", frame_file, "--cert", cert) == 1
+            captured = capsys.readouterr()
+            assert captured.out.endswith("certificate REJECTED\n")
+            assert "FAIL schedule:" in captured.out
+            assert captured.err == ""
+
     def test_wrong_frame_fails_with_mismatch(self, frame_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         run("select", "--frame", frame_file, "--n", 12, "--out", cert)
@@ -224,10 +265,18 @@ class TestVerify:
         assert run("verify", "--frame", other, "--cert", cert) == 1
         assert "mismatch" in capsys.readouterr().out
 
-    def test_malformed_certificate_is_usage_error(self, frame_file, tmp_path):
+    def test_malformed_certificate_is_usage_error(self, frame_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schedule": {}}')
         assert run("verify", "--frame", frame_file, "--cert", bad) == 2
+        # an integer too big for a double
+        run("select", "--frame", frame_file, "--n", 12, "--out", bad)
+        data = json.loads(bad.read_text())
+        data["steps"][0]["U"] = 10**400
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", "--frame", frame_file, "--cert", bad) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestParser:

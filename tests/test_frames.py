@@ -280,6 +280,25 @@ class TestJsonFormats:
         with pytest.raises(FrameError):
             frame_from_dict(data)
 
+    def test_frame_json_entries_have_exact_shape(self):
+        # signed zeros survive and an empty frame loads; a short row, a long
+        # pair, a null and an integer beyond double range are refused
+        vectors = np.array([[complex(-0.0, -0.0), 0.5], [complex(0.5, -0.0), -0.5j]])
+        F = FrameFamily(k=2, N=2, vectors=vectors)
+        G = frame_from_dict(json.loads(json.dumps(frame_to_dict(F))))
+        assert G.vectors.tobytes() == F.vectors.tobytes()
+        assert frame_from_dict({"k": 2, "N": 2, "m": 0, "vectors": []}).vectors.shape == (0, 2)
+        for mutate in (
+            lambda v: v[0].pop(),
+            lambda v: v[0][0].append(0.0),
+            lambda v: v[1][1].__setitem__(0, None),
+            lambda v: v[1][1].__setitem__(0, 10**400),
+        ):
+            data = frame_to_dict(F)
+            mutate(data["vectors"])
+            with pytest.raises(FrameError):
+                frame_from_dict(data)
+
     def test_frame_json_refuses_missing_header(self):
         with pytest.raises(FrameError):
             frame_from_dict({"k": 2, "N": 2})

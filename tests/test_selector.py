@@ -503,6 +503,18 @@ class TestVerification:
         report = verify_certificate(F, certificate_from_dict(data))
         assert [name for name, ok, _ in report.checks if not ok] == ["schedule"]
 
+    def test_malformed_schedule_is_reported_not_raised(self):
+        # a value too many, or an n outside 0..m-1, leaves no formula schedule
+        # to compare against: the schedule check fails and the replay stops
+        F = harmonic_frame(2, 4)
+        base = certificate_to_dict(select_subset(F, 4))
+        for key, value in (("values", base["schedule"]["values"] + [1.0]), ("n", 8), ("n", -1)):
+            data = copy.deepcopy(base)
+            data["schedule"][key] = value
+            report = verify_certificate(F, certificate_from_dict(data))
+            assert [(name, ok) for name, ok, _ in report.checks] == [("compatibility", True), ("schedule", False)]
+            assert math.isnan(report.final_margin) and math.isnan(report.min_step_margin)
+
     def test_wrong_frame_is_mismatch(self):
         F = harmonic_frame(2, 4)
         cert = select_subset(F, 4)
