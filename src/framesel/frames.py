@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -243,8 +244,24 @@ def compressed_gram(P: np.ndarray, selector: DiagonalSelector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON interchange. Complex numbers are two-element [re, im] arrays; NaN and
 # Inf are refused in both directions; doubles survive a write/read round trip
-# bit for bit (shortest-repr decimal serialization).
+# bit for bit (shortest-repr decimal serialization). Loaders check types and
+# coerce nothing: a count is an integer, a value is a number, and neither may
+# be a string or a boolean.
 # ---------------------------------------------------------------------------
+
+def _integer(value) -> int:
+    """``value`` if it is an integer; TypeError for anything else, floats and booleans included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value) -> float:
+    """``value`` as a float if it is a real number; TypeError for strings, booleans and the rest."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
 
 def _encode_complex_rows(rows: np.ndarray) -> list:
     # a complex128 entry is its [re, im] pair of doubles in memory
@@ -253,12 +270,22 @@ def _encode_complex_rows(rows: np.ndarray) -> list:
 
 def _decode_complex_rows(data, rows: int, cols: int, what: str) -> np.ndarray:
     try:
-        # [] has shape (0,) as an array: it is the empty block of any row length
-        pairs = np.empty((0, cols, 2)) if data == [] else np.array(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        # [] has shape (0,) as an array: it is the empty block of any row length.
+        # Without a dtype numpy converts nothing: strings and nulls keep the
+        # array from being numeric.
+        pairs = np.empty((0, cols, 2)) if data == [] else np.array(data)
+    except (TypeError, ValueError) as exc:
         raise FrameError(f"{what}: entries must be [re, im] pairs of numbers ({exc})") from exc
     if pairs.shape != (rows, cols, 2):
         raise FrameError(f"{what}: expected {rows} rows of {cols} [re, im] pairs, got shape {pairs.shape}")
+    if pairs.dtype.kind not in "fiu":
+        raise FrameError(f"{what}: entries must be numbers within double range (read as {pairs.dtype})")
+    # a boolean among numbers becomes 0 or 1, so only those entries need a look
+    hits = np.flatnonzero((pairs == 0) | (pairs == 1))
+    for r, c, p in zip(*np.unravel_index(hits, pairs.shape)):
+        if isinstance(data[r][c][p], bool):
+            raise FrameError(f"{what}: entry [{r}][{c}][{p}] is a boolean, not a number")
+    pairs = pairs.astype(np.float64)
     if not np.isfinite(pairs).all():
         raise FrameError(f"{what}: entries must be finite")
     return pairs.view(np.complex128)[..., 0]
@@ -270,8 +297,8 @@ def frame_to_dict(F: FrameFamily) -> dict:
 
 def frame_from_dict(data: dict) -> FrameFamily:
     try:
-        k, N, m = int(data["k"]), int(data["N"]), int(data["m"])
-    except (KeyError, TypeError, ValueError) as exc:
+        k, N, m = (_integer(data[key]) for key in ("k", "N", "m"))
+    except (KeyError, TypeError) as exc:
         raise FrameError(f"frame JSON missing or malformed header: {exc}") from exc
     vectors = _decode_complex_rows(data.get("vectors"), m, k, "frame vectors")
     return FrameFamily(k=k, N=N, vectors=vectors)
@@ -308,8 +335,8 @@ def projection_to_dict(P: np.ndarray) -> dict:
 
 def projection_from_dict(data: dict) -> np.ndarray:
     try:
-        m = int(data["m"])
-    except (KeyError, TypeError, ValueError) as exc:
+        m = _integer(data["m"])
+    except (KeyError, TypeError) as exc:
         raise FrameError(f"projection JSON missing or malformed header: {exc}") from exc
     return _decode_complex_rows(data.get("entries"), m, m, "projection entries")
 

@@ -41,7 +41,7 @@ from .errors import (
     SelectionError,
     ToleranceBreachError,
 )
-from .frames import FrameFamily, _read_json, _write_json, validate_frame
+from .frames import FrameFamily, _integer, _number, _read_json, _write_json, validate_frame
 from .hermitian import EigenSystem, eigh, outer_product_accumulate, resolvent_quadratic_form
 
 
@@ -84,6 +84,16 @@ def barrier_schedule(N: int, m: int, n: int) -> BarrierSchedule:
     return BarrierSchedule(N=N, m=m, n=n, values=values)
 
 
+# Half-width of the greedy rule's tie band, relative to max(1, u*). The same U
+# differs by about 1e-15 between the FFT and the dense scan and by up to 1e-13
+# between the lapack and jacobi backends, so roundoff never reaches the band
+# edge. On harmonic frames the U that are not tied sit 2e-7 or more above u*;
+# seeded modulated frames have true gaps of any size, and SelectionStep.band_gap
+# records how close each decision came. The band is ten times narrower than
+# Tolerances.feasibility_slack, so a chosen U inside it stays feasible.
+_TIE_BAND = 1e-10
+
+
 def _potential(eigenvalues: np.ndarray, a: float) -> float:
     if a <= eigenvalues[-1]:
         raise BarrierError(f"barrier violated: a = {a} <= lambda_max = {eigenvalues[-1]}")
@@ -95,17 +105,21 @@ def _potential(eigenvalues: np.ndarray, a: float) -> float:
 
 def _gap(eigenvalues: np.ndarray, a: float, a_next: float, tols: Tolerances) -> float:
     # Phi^a - Phi^{a_next} without cancellation: sum (a_next - a)/((a - l)(a_next - l))
-    gap = float((a_next - a) * np.sum(1.0 / ((a - eigenvalues) * (a_next - eigenvalues))))
+    gap = float((a_next - a) * (1.0 / ((a - eigenvalues) * (a_next - eigenvalues))).sum())
     if gap <= tols.gap_floor:
         raise BarrierError(f"potential gap {gap:.3e} at or below the floor {tols.gap_floor:.1e}")
     return gap
 
 
-def _feasibility(rows: np.ndarray, eig: EigenSystem, a_next: float, gap: float) -> np.ndarray:
-    """U of each row of the (r, k) block ``rows``, through the eigensystem of T."""
-    w2 = np.abs(rows @ eig.eigenvectors.conj()) ** 2
-    inv_next = 1.0 / (a_next - eig.eigenvalues)
-    return (w2 @ inv_next**2) / gap + w2 @ inv_next
+def _weights(eigenvalues: np.ndarray, a_next: float, gap: float) -> np.ndarray:
+    """f(lambda) = 1/(gap (a' - lambda)^2) + 1/(a' - lambda), so that U(v) = <E f(Lambda) E* v, v>."""
+    inv_next = 1.0 / (a_next - eigenvalues)
+    return inv_next * inv_next / gap + inv_next
+
+
+def _feasibility(rows: np.ndarray, eigenvectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """U of each row of the (r, k) block ``rows``, given T's eigenvectors and ``_weights``."""
+    return np.abs(rows @ eigenvectors.conj()) ** 2 @ weights
 
 
 def _advance(
@@ -149,8 +163,8 @@ def feasibility_value(
         raise BarrierError(
             f"need lambda_max < a < a_next, got lambda_max={eig.lambda_max}, a={a}, a_next={a_next}"
         )
-    gap = _gap(eig.eigenvalues, a, a_next, tols)
-    return float(_feasibility(np.asarray(v)[None, :], eig, a_next, gap)[0])
+    weights = _weights(eig.eigenvalues, a_next, _gap(eig.eigenvalues, a, a_next, tols))
+    return float(_feasibility(np.asarray(v)[None, :], eig.eigenvectors, weights)[0])
 
 
 def barrier_push_check(
@@ -179,6 +193,7 @@ class SelectionState:
     T: np.ndarray               # (k, k) rank-one sum over chosen
     step: int                   # j = len(chosen)
     eig: EigenSystem            # factorization of T
+    dft_bins: np.ndarray | None = None  # (2 k^2,) FFT-scan bins of a DFT row-subset frame; None scans densely
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,8 @@ class SelectionStep:
     # diagnostics carried in memory only, not serialized
     feasibility_sum: float | None = None   # sum of U over the unused set before the step
     remaining_count: int | None = None     # |S'| before the step
+    tie_count: int | None = None           # unused vectors inside the tie band
+    band_gap: float | None = None          # band edge to the nearest U outside it (inf if none)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +242,40 @@ class SelectionCertificate:
         return self.lambda_max - self.n / self.schedule.m
 
 
+# Largest entry residual, relative to the entry size 1/sqrt(m), for which a
+# frame counts as a DFT row subset. Generated and JSON-loaded frames sit near
+# 2e-15; a residual eps moves U by about eps relative, far inside _TIE_BAND.
+_DFT_RESIDUAL_LIMIT = 1e-13
+
+
+def _dft_row_offsets(vectors: np.ndarray) -> np.ndarray | None:
+    """r_d - r_0 mod m per column if row i is phi_i omega^(i r_d) / sqrt(m) with |phi_i| = 1, else None.
+
+    Only the differences r_d - r_e enter U, so phi_i omega^(i r_0) is taken as
+    the phase of row i: its first entry times sqrt(m). Row 1 gives the
+    offsets, and every entry is then checked against them.
+    """
+    m = vectors.shape[0]
+    if m < 2:
+        return None
+    root = math.sqrt(m)
+    if np.abs(np.abs(vectors[:, 0]) * root - 1.0).max() > _DFT_RESIDUAL_LIMIT:
+        return None
+    offsets = np.rint(np.angle(vectors[1] * vectors[1, 0].conj()) * (m / (2.0 * np.pi))).astype(np.int64) % m
+    powers = np.exp(2j * np.pi * np.arange(m) / m)
+    predicted = vectors[:, :1] * powers[(np.arange(m, dtype=np.int64)[:, None] * offsets) % m]
+    if np.abs(vectors - predicted).max() * root > _DFT_RESIDUAL_LIMIT:
+        return None
+    return offsets
+
+
 def initial_selection_state(F: FrameFamily) -> SelectionState:
+    """The empty selection; a DFT row-subset frame gets the FFT scan's bins.
+
+    Entry (d, e) of a (k, k) complex matrix goes to bin r_e - r_d mod m. The
+    bins index the matrix's float64 view, so its real part goes to 2 s and its
+    imaginary part to 2 s + 1, and the sums view back as m complex numbers.
+    """
     T = np.zeros((F.k, F.k), dtype=np.complex128)
     eig = EigenSystem(
         eigenvalues=np.zeros(F.k, dtype=np.float64),
@@ -233,11 +283,22 @@ def initial_selection_state(F: FrameFamily) -> SelectionState:
     )
     remaining = np.arange(1, F.m + 1, dtype=np.int64)
     remaining.setflags(write=False)
-    return SelectionState(frame=F, chosen=(), remaining=remaining, T=T, step=0, eig=eig)
+    offsets = _dft_row_offsets(F.vectors)
+    bins = None
+    if offsets is not None:
+        bins = (2 * ((offsets[None, :] - offsets[:, None]) % F.m)[..., None] + np.arange(2)).ravel()
+        bins.setflags(write=False)
+    return SelectionState(frame=F, chosen=(), remaining=remaining, T=T, step=0, eig=eig, dft_bins=bins)
 
 
 def _scan(state: SelectionState, schedule: BarrierSchedule, tols: Tolerances) -> tuple:
-    """(a_j, a_{j+1}, eigensystem of T_j, U of every unused vector via that eigenbasis)."""
+    """(a_j, a_{j+1}, eigensystem of T_j, U of every unused vector via that eigenbasis).
+
+    U(v) = <M v, v> with M = E f(Lambda) E*. On a DFT row subset,
+    <M v_i, v_i> = (1/m) sum_{d,e} M_de omega^(i (r_e - r_d)), so summing M's
+    entries by (r_e - r_d) mod m and taking one inverse FFT gives U at every
+    i in O(k^3 + m log m). Other frames take the (m - j, k) product.
+    """
     j = state.step
     if j >= schedule.n:
         raise ValueError(f"schedule exhausted: step {j} of {schedule.n}")
@@ -250,34 +311,48 @@ def _scan(state: SelectionState, schedule: BarrierSchedule, tols: Tolerances) ->
         raise ToleranceBreachError(
             f"state invalid at step {j}: lambda_max = {eig.lambda_max} >= a_j = {a}"
         )
-    gap = _gap(eig.eigenvalues, a, a_next, tols)
-    return a, a_next, eig, _feasibility(state.frame.vectors[state.remaining - 1], eig, a_next, gap)
+    weights = _weights(eig.eigenvalues, a_next, _gap(eig.eigenvalues, a, a_next, tols))
+    bins = state.dft_bins
+    if bins is None:
+        return a, a_next, eig, _feasibility(state.frame.vectors[state.remaining - 1], eig.eigenvectors, weights)
+    M = (eig.eigenvectors * weights) @ eig.eigenvectors.conj().T
+    m = state.frame.m
+    sums = np.bincount(bins, M.view(np.float64).ravel(), 2 * m).view(np.complex128)
+    # M is Hermitian, so sums[m - s] = conj(sums[s]) and the transform is real
+    return a, a_next, eig, np.fft.irfft(sums[: m // 2 + 1], m)[state.remaining - 1]
 
 
 def selection_step(
     state: SelectionState, schedule: BarrierSchedule, tols: Tolerances = DEFAULT_TOLS
 ) -> tuple[SelectionState, SelectionStep]:
-    """One greedy step: pick the unused vector with the smallest U and add it.
+    """One greedy step: add the smallest unused index whose U is within the tie band.
 
-    Returns a new state, whose ``remaining`` lacks the chosen index, and the
-    step's record. Exact ties go to the smallest index, so runs are
-    deterministic. Raises SelectionError (with the U profile and the unused
-    indices attached) if no candidate is feasible, and ToleranceBreachError
-    if a certified inequality fails after the update.
+    With u* the smallest U, the band is U <= u* + tau max(1, u*) for the
+    module constant tau = ``_TIE_BAND``. Candidates inside it count as tied,
+    so the choice does not depend on roundoff: the same subset comes out of
+    the FFT and the dense scan and of either eigh backend. Returns a new
+    state, whose ``remaining`` lacks the chosen index, and the step's record.
+    Raises SelectionError (with the U profile and the unused indices
+    attached) if the chosen U exceeds 1 + ``feasibility_slack``, and
+    ToleranceBreachError if a certified inequality fails after the update.
     """
     j = state.step
     a, a_next, eig, profile = _scan(state, schedule, tols)
-    pos = int(np.argmin(profile))  # first minimum = smallest index on ties
+    u_min = float(profile.min())
+    edge = u_min + _TIE_BAND * max(1.0, u_min)
+    inside = profile <= edge
+    pos = int(inside.argmax())  # remaining is ascending: the first is the smallest index
     u_best = float(profile[pos])
     if u_best > 1.0 + tols.feasibility_slack:
         raise SelectionError(
-            f"no feasible candidate at step {j}: min U = {u_best} over {len(profile)} vectors "
+            f"no feasible candidate at step {j}: chosen U = {u_best} (min {u_min}) over {len(profile)} vectors "
             f"(frame invalid or tolerances breached)",
             u_profile=profile,
             remaining=state.remaining,
         )
 
     index = int(state.remaining[pos])
+    tie_count = int(np.count_nonzero(inside))
     v = state.frame.vectors[index - 1]
     T_next, eig_next, phi_next, failure = _advance(state.T, eig, v, a, a_next, tols)
     if failure is not None:
@@ -291,6 +366,8 @@ def selection_step(
         lambda_max=eig_next.lambda_max,
         feasibility_sum=float(profile.sum()),
         remaining_count=len(profile),
+        tie_count=tie_count,
+        band_gap=float(profile.min(where=~inside, initial=math.inf)) - edge,
     )
     remaining = np.delete(state.remaining, pos)
     remaining.setflags(write=False)
@@ -301,6 +378,7 @@ def selection_step(
         T=T_next,
         step=j + 1,
         eig=eig_next,
+        dft_bins=state.dft_bins,
     )
     return next_state, record
 
@@ -548,15 +626,17 @@ def certificate_to_dict(cert: SelectionCertificate) -> dict:
 def certificate_from_dict(data: dict) -> SelectionCertificate:
     try:
         sched = data["schedule"]
-        values = np.asarray([float(v) for v in sched["values"]], dtype=np.float64)
-        schedule = BarrierSchedule(N=int(sched["N"]), m=int(sched["m"]), n=int(sched["n"]), values=values)
+        values = np.asarray([_number(v) for v in sched["values"]], dtype=np.float64)
+        schedule = BarrierSchedule(
+            N=_integer(sched["N"]), m=_integer(sched["m"]), n=_integer(sched["n"]), values=values
+        )
         steps = tuple(
             SelectionStep(
-                j=int(s["j"]),
-                index=int(s["index"]),
-                feasibility=float(s["U"]),
-                potential=float(s["phi"]),
-                lambda_max=float(s["lambda_max"]),
+                j=_integer(s["j"]),
+                index=_integer(s["index"]),
+                feasibility=_number(s["U"]),
+                potential=_number(s["phi"]),
+                lambda_max=_number(s["lambda_max"]),
             )
             for s in data["steps"]
         )
@@ -564,10 +644,10 @@ def certificate_from_dict(data: dict) -> SelectionCertificate:
         cert = SelectionCertificate(
             schedule=schedule,
             steps=steps,
-            indices=tuple(int(i) for i in final["indices"]),
-            eigenvalues=np.asarray([float(x) for x in final["eigenvalues"]], dtype=np.float64),
-            bound=float(final["bound"]),
-            norm_deviation=float(data.get("norm_deviation", 0.0)),
+            indices=tuple(_integer(i) for i in final["indices"]),
+            eigenvalues=np.asarray([_number(x) for x in final["eigenvalues"]], dtype=np.float64),
+            bound=_number(final["bound"]),
+            norm_deviation=_number(data.get("norm_deviation", 0.0)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CertificateMismatchError(f"malformed certificate JSON: {exc}") from exc

@@ -90,13 +90,15 @@ class TestSelect:
         assert run("select", "--frame", tmp_path / "nope.json", "--n", 2, "--out", tmp_path / "c.json") == 3
 
     def test_malformed_frame_is_usage_error(self, frame_file, tmp_path, capsys):
-        # not JSON; an entry that is null; an integer too big for a double
+        # not JSON; an entry that is null, an integer too big for a double, a
+        # boolean or a string; a header count that is not an integer
         data = json.loads(frame_file.read_text())
         texts = ["{not json"]
-        for entry in (None, 10**400):
+        for entry in (None, 10**400, False, "0.5"):
             bad = copy.deepcopy(data)
             bad["vectors"][0][0][1] = entry
             texts.append(json.dumps(bad))
+        texts.append(json.dumps(dict(data, k=data["k"] + 0.9)))
         bad = tmp_path / "bad.json"
         for text in texts:
             bad.write_text(text)
@@ -269,14 +271,16 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text('{"schedule": {}}')
         assert run("verify", "--frame", frame_file, "--cert", bad) == 2
-        # an integer too big for a double
+        # an integer too big for a double; a step number that is a boolean
         run("select", "--frame", frame_file, "--n", 12, "--out", bad)
-        data = json.loads(bad.read_text())
-        data["steps"][0]["U"] = 10**400
-        bad.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert run("verify", "--frame", frame_file, "--cert", bad) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        good = json.loads(bad.read_text())
+        for key, value in (("U", 10**400), ("j", True)):
+            data = copy.deepcopy(good)
+            data["steps"][0][key] = value
+            bad.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert run("verify", "--frame", frame_file, "--cert", bad) == 2
+            assert capsys.readouterr().err.startswith("error:")
 
 
 class TestParser:

@@ -299,6 +299,33 @@ class TestJsonFormats:
             with pytest.raises(FrameError):
                 frame_from_dict(data)
 
+    @pytest.mark.parametrize("key", ["k", "N", "m"])
+    @pytest.mark.parametrize("value", [2.9, 2.0, "2", True], ids=["fraction", "float", "string", "bool"])
+    def test_frame_json_header_must_be_integers(self, key, value):
+        # before, int() coerced these: "k": 2.9 loaded as k = 2 and "N": "2" as N = 2
+        data = frame_to_dict(harmonic_frame(2, 2))
+        data[key] = value
+        with pytest.raises(FrameError, match="expected an integer"):
+            frame_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "entry", [["0.5", 0.0], [0.5, False], [True, 0.0], ["abc", 0.0]], ids=["numeric-string", "false", "true", "text"]
+    )
+    def test_frame_and_projection_entries_must_be_numbers(self, entry):
+        # before, ["0.5", false] loaded as 0.5+0j; integers stay valid numbers
+        data = frame_to_dict(harmonic_frame(2, 2))
+        data["vectors"][1][1] = entry
+        with pytest.raises(FrameError):
+            frame_from_dict(data)
+        data = projection_to_dict(frame_to_projection(harmonic_frame(2, 2)))
+        data["entries"][2][3] = entry
+        with pytest.raises(FrameError):
+            projection_from_dict(data)
+        data["m"] = 4.0
+        with pytest.raises(FrameError, match="expected an integer"):
+            projection_from_dict(data)
+        assert frame_from_dict({"k": 1, "N": 2, "m": 2, "vectors": [[[1, 0]], [[0, -1]]]}).vectors[1, 0] == -1j
+
     def test_frame_json_refuses_missing_header(self):
         with pytest.raises(FrameError):
             frame_from_dict({"k": 2, "N": 2})

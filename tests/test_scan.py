@@ -1,0 +1,161 @@
+"""The FFT scan of DFT row-subset frames, its detection, and the greedy tie band.
+
+The subset a run selects must not depend on how U was computed: the FFT and
+the dense scan, and the lapack and jacobi eigh backends, differ in roundoff
+only, and the tie band absorbs roundoff.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import framesel
+from framesel import (
+    DEFAULT_TOLS,
+    FrameFamily,
+    barrier_schedule,
+    frame_from_dict,
+    frame_to_dict,
+    harmonic_frame,
+    initial_selection_state,
+    modulated_harmonic_frame,
+    select_prefixes,
+    select_subset,
+    selection_step,
+    verify_certificate,
+)
+from framesel import selector
+
+JACOBI = DEFAULT_TOLS.with_overrides(eigh_backend="jacobi")
+# criterion 11's frames and sizes
+N_LIST = [(harmonic_frame(4, N), 2 * N) for N in (25, 100, 400)]
+DFT_ROW_OFFSETS = selector._dft_row_offsets
+DENSE_FEASIBILITY = selector._feasibility
+
+
+def order(cert):
+    return [step.index for step in cert.steps]
+
+
+def generic_frames():
+    """Parseval frames made from harmonic_frame(4, 9) that are no longer DFT row subsets."""
+    F = harmonic_frame(4, 9)
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal(F.vectors.shape) + 1j * rng.standard_normal(F.vectors.shape)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    haar = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-distributed unitary
+    return {
+        "perturbed": FrameFamily(k=4, N=9, vectors=F.vectors + 1e-9 * noise),
+        # the DFT pattern up to a common scale: |phi_i| is not 1
+        "rescaled": FrameFamily(k=4, N=9, vectors=F.vectors * (1.0 + 2e-8)),
+        "row-permuted": FrameFamily(k=4, N=9, vectors=F.vectors[rng.permutation(F.m)]),
+        "haar-rotated": FrameFamily(k=4, N=9, vectors=F.vectors @ haar.T),
+    }
+
+
+class TestScansAgree:
+    @pytest.mark.parametrize(
+        "F",
+        [harmonic_frame(8, 25), modulated_harmonic_frame(6, 16, seed=3), modulated_harmonic_frame(32, 50, seed=7)],
+        ids=["harmonic-8-25", "modulated-6-16", "modulated-32-50"],
+    )
+    def test_fft_u_matches_dense_u_at_every_step(self, F):
+        n = F.m - 1
+        sched = barrier_schedule(F.N, F.m, n)
+        state = initial_selection_state(F)
+        assert state.dft_bins is not None
+        for _ in range(n):
+            fft_u = selector._scan(state, sched, DEFAULT_TOLS)[3]
+            dense_u = selector._scan(dataclasses.replace(state, dft_bins=None), sched, DEFAULT_TOLS)[3]
+            np.testing.assert_allclose(fft_u, dense_u, rtol=1e-13, atol=0.0)
+            state, _ = selection_step(state, sched)
+
+    def test_dense_scan_selects_the_fft_subsets(self, fresh_runs_8_25, monkeypatch):
+        # over the criterion-1 sweep and the criterion-11 N-list
+        fft = [order(select_subset(F, n)) for F, n in N_LIST]
+        monkeypatch.setattr(selector, "_dft_row_offsets", lambda vectors: None)
+        frame, fresh = fresh_runs_8_25
+        assert initial_selection_state(frame).dft_bins is None
+        ns = range(1, frame.m)
+        for n, cert in zip(ns, select_prefixes(frame, ns), strict=True):
+            assert order(cert) == order(fresh[n])
+        assert [order(select_subset(F, n)) for F, n in N_LIST] == fft
+
+    @pytest.mark.parametrize(
+        "F, n", [(harmonic_frame(k, N), k * N - 1) for k, N in ((8, 25), (4, 25), (8, 9))] + N_LIST
+    )
+    def test_jacobi_selects_the_lapack_subsets(self, F, n):
+        # full runs, plus the criterion-11 N-list
+        assert order(select_subset(F, n, JACOBI)) == order(select_subset(F, n))
+
+
+class TestDetection:
+    def test_generated_and_loaded_frames_take_the_fft_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dense scan ran on a DFT row-subset frame")
+
+        monkeypatch.setattr(selector, "_feasibility", refuse)
+        harmonic = harmonic_frame(8, 25)
+        assert DFT_ROW_OFFSETS(harmonic.vectors).tolist() == list(range(8))
+        for F in (harmonic, modulated_harmonic_frame(6, 16, seed=3), modulated_harmonic_frame(32, 50, seed=7)):
+            loaded = frame_from_dict(json.loads(json.dumps(frame_to_dict(F))))
+            for G in (F, loaded):
+                assert initial_selection_state(G).dft_bins is not None
+                cert = select_subset(G, G.m // 2)
+                assert verify_certificate(G, cert).passed
+
+    @pytest.mark.parametrize("name", ["perturbed", "rescaled", "row-permuted", "haar-rotated"])
+    def test_other_frames_take_the_dense_path_and_verify(self, name, monkeypatch):
+        F = generic_frames()[name]
+        assert DFT_ROW_OFFSETS(F.vectors) is None
+        calls = []
+        monkeypatch.setattr(selector, "_feasibility", lambda *args: calls.append(1) or DENSE_FEASIBILITY(*args))
+        cert = select_subset(F, F.m - 1)
+        assert len(calls) == F.m - 1
+        assert verify_certificate(F, cert).passed
+
+    def test_import_leaves_numpy_fft_unloaded(self):
+        # `import framesel` is the set-up cost of every CLI call; numpy.fft
+        # loads on the first FFT scan instead
+        src = str(Path(framesel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, framesel; sys.exit('numpy.fft' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+class TestTieBand:
+    @pytest.mark.parametrize("F", [harmonic_frame(8, 25), harmonic_frame(1, 6)], ids=["harmonic-8-25", "k1"])
+    def test_choice_and_diagnostics_follow_the_band(self, F):
+        n = F.m - 1
+        sched = barrier_schedule(F.N, F.m, n)
+        state = initial_selection_state(F)
+        ties = 0
+        for _ in range(n):
+            profile = selector._scan(state, sched, DEFAULT_TOLS)[3]
+            u_min = profile.min()
+            edge = u_min + selector._TIE_BAND * max(1.0, u_min)
+            inside = profile <= edge
+            remaining = state.remaining
+            state, record = selection_step(state, sched)
+            assert record.index == remaining[inside].min()
+            assert record.feasibility <= edge
+            assert record.tie_count == np.count_nonzero(inside)
+            if inside.all():
+                assert record.band_gap == np.inf
+            else:
+                assert record.band_gap == profile[~inside].min() - edge > 0.0
+            ties += record.tie_count > 1
+        assert ties > 0
+
+    def test_k1_frame_ties_everything(self):
+        # all candidates are one vector up to phase, so the band holds them all
+        cert = select_subset(harmonic_frame(1, 6), 5)
+        assert order(cert) == [1, 2, 3, 4, 5]
+        assert [s.tie_count for s in cert.steps] == [6, 5, 4, 3, 2]
+        assert all(s.band_gap == np.inf for s in cert.steps)

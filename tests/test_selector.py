@@ -583,6 +583,35 @@ class TestCertificateJson:
         with pytest.raises(CertificateMismatchError):
             certificate_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("schedule", "N"), 4.0),
+            (("schedule", "m"), "8"),
+            (("schedule", "n"), True),
+            (("steps", 1, "j"), True),
+            (("steps", 1, "index"), 1.7),
+            (("steps", 1, "index"), "3"),
+            (("final", "indices", 0), 1.0),
+            (("steps", 0, "U"), "0.5"),
+            (("steps", 0, "phi"), False),
+            (("schedule", "values", 1), "0.75"),
+            (("final", "eigenvalues", 0), True),
+            (("final", "bound"), "1.5"),
+            (("norm_deviation",), False),
+        ],
+    )
+    def test_fields_are_type_checked_not_coerced(self, path, value):
+        # before, int() and float() coerced these, and a step index of 1.7 or
+        # a "j" of true loaded and then verified
+        data = certificate_to_dict(select_subset(harmonic_frame(2, 4), 4))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(CertificateMismatchError, match="expected an? (integer|number)"):
+            certificate_from_dict(data)
+
     def test_nonfinite_rejected(self):
         cert = select_subset(harmonic_frame(2, 2), 2)
         data = certificate_to_dict(cert)
