@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .config import DEFAULT_TOLS
 from .errors import (
     BarrierError,
     CertificateMismatchError,
-    ConvergenceError,
     FrameError,
     SelectionError,
     ToleranceBreachError,
@@ -36,7 +35,7 @@ from .frames import (
     save_frame,
     validate_frame,
 )
-from .katz import build_katz, dichotomy_check, save_dichotomy_report
+from .katz import _EXHAUSTIVE_MAX_N, build_katz, dichotomy_check, save_dichotomy_report
 from .selector import (
     complement_lower_bound,
     load_certificate,
@@ -75,8 +74,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         frame = harmonic_frame(args.k, args.N)
     else:
         frame = modulated_harmonic_frame(args.k, args.N, seed=args.seed)
-    tols = DEFAULT_TOLS if args.tol is None else DEFAULT_TOLS.with_overrides(frame_tol=args.tol)
-    report = validate_frame(frame, tols)
+    report = validate_frame(frame) if args.tol is None else validate_frame(frame, args.tol)
     save_frame(frame, args.out)
     print(f"wrote {args.out}")
     print(report.summary())
@@ -117,6 +115,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.N_list is None:
         if args.n_min is None or args.n_max is None:
             raise UsageError("sweep over one frame needs both --n-min and --n-max")
+    if not 0.0 < args.ratio < 1.0:
+        raise UsageError(f"--ratio must lie strictly between 0 and 1, got {args.ratio}")
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         out.write(",".join(CSV_COLUMNS) + "\n")
@@ -144,14 +144,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_katz(args: argparse.Namespace) -> int:
     if args.N < 1:
         raise UsageError(f"--N must be positive, got {args.N}")
-    if not args.sampled and args.N > DEFAULT_TOLS.katz_exhaustive_max_n:
+    if not args.sampled and args.trials is not None:
+        raise UsageError("--trials applies only with --sampled")
+    if not args.sampled and args.N > _EXHAUSTIVE_MAX_N:
         raise UsageError(
             f"exhaustive check over 2^{2 * args.N} subsets is out of reach for N = {args.N}; "
             f"pass --sampled (with --trials and --seed) instead"
         )
     system = build_katz(args.N)
     mode = "sampled" if args.sampled else "exhaustive"
-    report = dichotomy_check(system, mode=mode, trials=args.trials, seed=args.seed)
+    trials = {} if args.trials is None else {"trials": args.trials}
+    report = dichotomy_check(system, mode=mode, seed=args.seed, **trials)
     save_dichotomy_report(report, args.out)
     print(f"wrote {args.out}")
     print(
@@ -190,9 +193,19 @@ def _positive_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("harmonic", "modulated"), default="harmonic")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for --kind modulated (default 0)")
     p.add_argument("--out", default="frame.json", help="output path (default frame.json)")
-    p.add_argument("--tol", type=float, default=None, help="frame validation tolerance override")
+    p.add_argument("--tol", type=_tolerance, default=None, help="frame validation tolerance (default 1e-9)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("select", help="greedily select n vectors from a frame file")
@@ -262,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FrameError, CertificateMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SelectionError, ToleranceBreachError, BarrierError, ConvergenceError) as exc:
+    except (SelectionError, ToleranceBreachError, BarrierError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         if isinstance(exc, SelectionError) and exc.u_profile is not None:
             profile = exc.u_profile

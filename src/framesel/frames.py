@@ -18,9 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import FrameError
 from .hermitian import eigh, require_hermitian
+
+_FRAME_TOL = 1e-9        # frame validation (norms, Parseval), unless validate_frame is given a tol
+_RESCALE_LIMIT = 1e-6    # worst norm deviation rescale_norms repairs and select_subset accepts
+_M_CAP = 100_000         # largest frame the constructors build
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +112,14 @@ def _checked_indices(indices, m: int) -> np.ndarray:
     return idx
 
 
-def _check_parameters(k: int, N: int, m_cap: int) -> int:
+def _check_parameters(k: int, N: int) -> int:
     if k < 1:
         raise FrameError(f"dimension k must be positive, got {k}")
     if N < 2:
         raise FrameError(f"norm parameter N must be at least 2, got {N}")
     m = k * N
-    if m > m_cap:
-        raise FrameError(f"m = k*N = {m} exceeds the configured cap {m_cap}")
+    if m > _M_CAP:
+        raise FrameError(f"m = k*N = {m} exceeds the cap {_M_CAP}")
     return m
 
 
@@ -126,18 +129,18 @@ def _dft_rows(m: int, rows: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * ((i * rows[None, :]) % m) / m) / math.sqrt(m)
 
 
-def harmonic_frame(k: int, N: int, tols: Tolerances = DEFAULT_TOLS) -> FrameFamily:
+def harmonic_frame(k: int, N: int) -> FrameFamily:
     """Frame from the first k rows of the m-point DFT matrix, m = k N.
 
     Vector i has entries omega^(i d) / sqrt(m) for d = 0..k-1 with
     omega = exp(2 pi i / m). Row-orthogonality of the DFT makes the frame
     exactly Parseval up to roundoff, with every squared norm k/m = 1/N.
     """
-    m = _check_parameters(k, N, tols.m_cap)
+    m = _check_parameters(k, N)
     return FrameFamily(k=k, N=N, vectors=_dft_rows(m, np.arange(k, dtype=np.int64)))
 
 
-def modulated_harmonic_frame(k: int, N: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> FrameFamily:
+def modulated_harmonic_frame(k: int, N: int, seed: int) -> FrameFamily:
     """Seeded variant: a random k-subset of DFT rows, random phase per vector.
 
     Row subsets of the scaled DFT keep the frame Parseval with equal norms,
@@ -145,15 +148,15 @@ def modulated_harmonic_frame(k: int, N: int, seed: int, tols: Tolerances = DEFAU
     Randomness comes from ``numpy.random.default_rng(seed)`` (PCG64), so a
     fixed seed always reproduces the same frame.
     """
-    m = _check_parameters(k, N, tols.m_cap)
+    m = _check_parameters(k, N)
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(m, size=k, replace=False))
     phases = np.exp(2j * np.pi * rng.random(m))
     return FrameFamily(k=k, N=N, vectors=_dft_rows(m, rows) * phases[:, None])
 
 
-def validate_frame(F: FrameFamily, tols: Tolerances = DEFAULT_TOLS) -> FrameValidationReport:
-    """Measure norm, Parseval, and count deviations; pass iff all within ``tols.frame_tol``."""
+def validate_frame(F: FrameFamily, tol: float = _FRAME_TOL) -> FrameValidationReport:
+    """Measure norm, Parseval, and count deviations; pass iff all within ``tol``."""
     norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
     norm_dev = float(np.max(np.abs(norms2 - 1.0 / F.N))) if F.m else 0.0
     gram_sum = F.rank_one_sum()
@@ -165,37 +168,37 @@ def validate_frame(F: FrameFamily, tols: Tolerances = DEFAULT_TOLS) -> FrameVali
         count_ok=(F.m == F.k * F.N),
         norm_deviation=norm_dev,
         parseval_deviation=parseval_dev,
-        tol=float(tols.frame_tol),
+        tol=float(tol),
     )
 
 
-def rescale_norms(F: FrameFamily, tols: Tolerances = DEFAULT_TOLS) -> FrameFamily:
+def rescale_norms(F: FrameFamily) -> FrameFamily:
     """Rescale every vector to squared norm exactly 1/N, warning when it acts.
 
-    Refuses deviations above ``tols.rescale_limit``; those indicate a wrong
-    frame rather than accumulated roundoff.
+    Refuses deviations above ``_RESCALE_LIMIT``; those indicate a wrong frame
+    rather than accumulated roundoff.
     """
     norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
     dev = float(np.max(np.abs(norms2 - 1.0 / F.N))) if F.m else 0.0
-    if dev > tols.rescale_limit:
+    if dev > _RESCALE_LIMIT:
         raise FrameError(
-            f"norm deviation {dev:.3e} exceeds the rescale limit {tols.rescale_limit:.1e}"
+            f"norm deviation {dev:.3e} exceeds the rescale limit {_RESCALE_LIMIT:.1e}"
         )
-    if dev > tols.frame_tol:
+    if dev > _FRAME_TOL:
         warnings.warn(f"rescaling frame vectors: worst norm deviation {dev:.3e}", stacklevel=2)
     scale = 1.0 / np.sqrt(norms2 * F.N)
     return FrameFamily(k=F.k, N=F.N, vectors=F.vectors * scale[:, None])
 
 
-def frame_to_projection(F: FrameFamily, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def frame_to_projection(F: FrameFamily) -> np.ndarray:
     """The m x m Gram matrix G[i, j] = <v_j, v_i>: a rank-k projection with diagonal 1/N."""
-    report = validate_frame(F, tols)
+    report = validate_frame(F)
     if not report.passed:
         raise FrameError(f"invalid frame: {report.summary()}")
     return F.vectors.conj() @ F.vectors.T
 
 
-def projection_to_frame(P: np.ndarray, N: int, tols: Tolerances = DEFAULT_TOLS) -> FrameFamily:
+def projection_to_frame(P: np.ndarray, N: int) -> FrameFamily:
     """Compress a constant-diagonal projection onto its range as a frame.
 
     ``P`` must be an m x m projection whose diagonal entries all equal 1/N;
@@ -204,19 +207,19 @@ def projection_to_frame(P: np.ndarray, N: int, tols: Tolerances = DEFAULT_TOLS) 
     """
     if N < 2:
         raise FrameError(f"norm parameter N must be at least 2, got {N}")
-    P = require_hermitian(P, tols.hermitian_atol)
+    P = require_hermitian(P)
     m = P.shape[0]
     idem_dev = float(np.linalg.norm(P @ P - P))
-    if idem_dev > tols.frame_tol * max(1.0, float(np.linalg.norm(P))):
+    if idem_dev > _FRAME_TOL * max(1.0, float(np.linalg.norm(P))):
         raise FrameError(f"not a projection: ||P^2 - P||_F = {idem_dev:.3e}")
     diag = np.real(np.diag(P))
     diag_dev = float(np.max(np.abs(diag - 1.0 / N)))
-    if diag_dev > tols.frame_tol:
+    if diag_dev > _FRAME_TOL:
         raise FrameError(f"diagonal entries deviate from 1/{N} by {diag_dev:.3e}")
     if m % N != 0:
         raise FrameError(f"rank m/N = {m}/{N} is not integral")
     k = m // N
-    eig = eigh(P, tols)
+    eig = eigh(P)
     range_mask = eig.eigenvalues > 0.5
     rank = int(np.count_nonzero(range_mask))
     if rank != k:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import BarrierError, ConvergenceError
+
+_HERMITIAN_ATOL = 1e-12  # largest conjugate-symmetry defect eigh accepts, absolute
 
 
 def hermitian_defect(T: np.ndarray) -> float:
@@ -25,14 +26,14 @@ def hermitian_defect(T: np.ndarray) -> float:
     return float(np.max(np.abs(T - T.conj().T)))
 
 
-def require_hermitian(T: np.ndarray, atol: float = DEFAULT_TOLS.hermitian_atol) -> np.ndarray:
-    """Validate conjugate symmetry within ``atol`` and return a symmetrized copy."""
+def require_hermitian(T: np.ndarray) -> np.ndarray:
+    """Validate conjugate symmetry within ``_HERMITIAN_ATOL`` and return a symmetrized copy."""
     T = np.asarray(T, dtype=np.complex128)
     if not (np.all(np.isfinite(T.real)) and np.all(np.isfinite(T.imag))):
         raise ValueError("matrix contains NaN or Inf")
     defect = hermitian_defect(T)
-    if defect > atol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {atol:.3e}")
+    if defect > _HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {_HERMITIAN_ATOL:.3e}")
     return 0.5 * (T + T.conj().T)
 
 
@@ -86,15 +87,19 @@ def _sorted_system(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> EigenSy
 
 
 def lapack_eigh(T: np.ndarray) -> EigenSystem:
-    """Eigendecomposition via LAPACK (``numpy.linalg.eigh``)."""
+    """Eigendecomposition via LAPACK (``numpy.linalg.eigh``).
+
+    LAPACK already returns ascending eigenvalues and C-contiguous eigenvector
+    columns, so its output is the system as it stands.
+    """
     eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(T, dtype=np.complex128))
-    return _sorted_system(eigenvalues, eigenvectors)
+    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def jacobi_eigh(
     T: np.ndarray,
-    offdiag_rtol: float = DEFAULT_TOLS.jacobi_offdiag_rtol,
-    max_sweeps: int = DEFAULT_TOLS.jacobi_max_sweeps,
+    offdiag_rtol: float = 1e-13,
+    max_sweeps: int = 100,
 ) -> EigenSystem:
     """Cyclic Jacobi eigendecomposition for complex Hermitian matrices.
 
@@ -102,7 +107,9 @@ def jacobi_eigh(
     complex Givens rotation, until the off-diagonal Frobenius mass drops
     below ``offdiag_rtol`` times the Frobenius norm of the input.
 
-    Deterministic: identical input always yields identical output.
+    Deterministic: identical input always yields identical output. This is
+    the slow reference that tests compare ``lapack_eigh`` against; nothing in
+    the package calls it.
 
     Raises
     ------
@@ -173,18 +180,13 @@ def jacobi_eigh(
     return _sorted_system(np.real(np.diag(A)).astype(np.float64), V)
 
 
-def eigh(T: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, backend per ``tols.eigh_backend``.
+def eigh(T: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix by LAPACK.
 
-    The input must be Hermitian within ``tols.hermitian_atol``; it is
-    symmetrized before factorization.
+    The input must be Hermitian within ``_HERMITIAN_ATOL``; it is symmetrized
+    before factorization.
     """
-    H = require_hermitian(T, tols.hermitian_atol)
-    if tols.eigh_backend == "jacobi":
-        return jacobi_eigh(H, tols.jacobi_offdiag_rtol, tols.jacobi_max_sweeps)
-    if tols.eigh_backend == "lapack":
-        return lapack_eigh(H)
-    raise ValueError(f"unknown eigh backend {tols.eigh_backend!r}")
+    return lapack_eigh(require_hermitian(T))
 
 
 def resolvent_quadratic_form(eig: EigenSystem, a: float, v: np.ndarray, power: int) -> float:

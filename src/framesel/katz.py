@@ -29,8 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .frames import _write_json
+
+_BUILD_CAP = 200_000       # largest |X| = C(2N, N) that build_katz enumerates
+_EXHAUSTIVE_MAX_N = 6      # auto mode walks all 2^(2N) subsets up to this N
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,18 +93,18 @@ def _index_mask(system: KatzSystem, indices) -> int:
     return mask
 
 
-def build_katz(N: int, tols: Tolerances = DEFAULT_TOLS) -> KatzSystem:
+def build_katz(N: int) -> KatzSystem:
     """Construct the system for ground set {1, ..., 2N}.
 
-    Refuses when C(2N, N) exceeds ``tols.katz_build_cap`` points; the
+    Refuses when C(2N, N) exceeds ``_BUILD_CAP`` points; the
     closed-form range needs no enumeration and keeps working at any size.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     size = math.comb(2 * N, N)
-    if size > tols.katz_build_cap:
+    if size > _BUILD_CAP:
         raise ValueError(
-            f"C({2 * N}, {N}) = {size} points exceeds the build cap {tols.katz_build_cap}; "
+            f"C({2 * N}, {N}) = {size} points exceeds the build cap {_BUILD_CAP}; "
             f"use closed_form_range for large N"
         )
     masks = np.zeros(size, dtype=np.uint64)
@@ -169,30 +171,30 @@ class DichotomyReport:
 def dichotomy_check(
     system: KatzSystem,
     mode: str = "auto",
-    trials: int | None = None,
+    trials: int = 100_000,
     seed: int = 0,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> DichotomyReport:
     """Verify endpoint pinning for subsets S of the ground set.
 
-    Exhaustive mode walks all 2^(2N) subsets (feasible for N up to
-    ``tols.katz_exhaustive_max_n``); sampled mode draws uniform random
+    Exhaustive mode walks all 2^(2N) subsets (auto mode picks it for N up
+    to ``_EXHAUSTIVE_MAX_N``); sampled mode draws ``trials`` uniform random
     subsets from a seeded generator. Both routes compare the enumerated
     range against the closed form and record any subset that is confined
     strictly inside (0, 1).
     """
     if mode == "auto":
-        mode = "exhaustive" if system.N <= tols.katz_exhaustive_max_n else "sampled"
+        mode = "exhaustive" if system.N <= _EXHAUSTIVE_MAX_N else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'auto', 'exhaustive', or 'sampled', got {mode!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
 
     g = system.ground_size
     if mode == "exhaustive":
         s_masks = range(1 << g)
     else:
-        count = trials if trials is not None else tols.katz_default_trials
         rng = np.random.default_rng(seed)
-        s_masks = [int(x) for x in rng.integers(0, 1 << g, size=count, dtype=np.uint64)]
+        s_masks = [int(x) for x in rng.integers(0, 1 << g, size=trials, dtype=np.uint64)]
 
     min_pinned = 0
     max_pinned = 0

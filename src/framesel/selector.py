@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     BarrierError,
     CertificateMismatchError,
@@ -41,7 +40,7 @@ from .errors import (
     SelectionError,
     ToleranceBreachError,
 )
-from .frames import FrameFamily, _integer, _number, _read_json, _write_json, validate_frame
+from .frames import _RESCALE_LIMIT, FrameFamily, _integer, _number, _read_json, _write_json, validate_frame
 from .hermitian import EigenSystem, eigh, outer_product_accumulate, resolvent_quadratic_form
 
 
@@ -86,12 +85,15 @@ def barrier_schedule(N: int, m: int, n: int) -> BarrierSchedule:
 
 # Half-width of the greedy rule's tie band, relative to max(1, u*). The same U
 # differs by about 1e-15 between the FFT and the dense scan and by up to 1e-13
-# between the lapack and jacobi backends, so roundoff never reaches the band
+# between lapack_eigh and jacobi_eigh, so roundoff never reaches the band
 # edge. On harmonic frames the U that are not tied sit 2e-7 or more above u*;
 # seeded modulated frames have true gaps of any size, and SelectionStep.band_gap
 # records how close each decision came. The band is ten times narrower than
-# Tolerances.feasibility_slack, so a chosen U inside it stays feasible.
+# _FEASIBILITY_SLACK, so a chosen U inside it stays feasible.
 _TIE_BAND = 1e-10
+_FEASIBILITY_SLACK = 1e-9  # U <= 1 + slack admits a candidate
+_POTENTIAL_SLACK = 1e-10   # allowed potential rise per step
+_GAP_FLOOR = 1e-14         # smallest usable potential gap
 
 
 def _potential(eigenvalues: np.ndarray, a: float) -> float:
@@ -103,11 +105,11 @@ def _potential(eigenvalues: np.ndarray, a: float) -> float:
 # The barrier step from (T, a, a'), shared by every caller: the potential gap,
 # U over a block of rows, and the update T -> T + v (x) v with its two checks.
 
-def _gap(eigenvalues: np.ndarray, a: float, a_next: float, tols: Tolerances) -> float:
+def _gap(eigenvalues: np.ndarray, a: float, a_next: float) -> float:
     # Phi^a - Phi^{a_next} without cancellation: sum (a_next - a)/((a - l)(a_next - l))
     gap = float((a_next - a) * (1.0 / ((a - eigenvalues) * (a_next - eigenvalues))).sum())
-    if gap <= tols.gap_floor:
-        raise BarrierError(f"potential gap {gap:.3e} at or below the floor {tols.gap_floor:.1e}")
+    if gap <= _GAP_FLOOR:
+        raise BarrierError(f"potential gap {gap:.3e} at or below the floor {_GAP_FLOOR:.1e}")
     return gap
 
 
@@ -122,54 +124,48 @@ def _feasibility(rows: np.ndarray, eigenvectors: np.ndarray, weights: np.ndarray
     return np.abs(rows @ eigenvectors.conj()) ** 2 @ weights
 
 
-def _advance(
-    T: np.ndarray, eig: EigenSystem, v: np.ndarray, a: float, a_next: float, tols: Tolerances
-) -> tuple:
+def _advance(T: np.ndarray, eig: EigenSystem, v: np.ndarray, a: float, a_next: float) -> tuple:
     """(T + v (x) v, its eigensystem, its Phi^{a_next}, failure), given eig = eigh(T).
 
     ``failure`` is None when the norm stays below a_next and the potential does
-    not rise above Phi^a(T) by more than ``potential_slack``; otherwise it names
+    not rise above Phi^a(T) by more than ``_POTENTIAL_SLACK``; otherwise it names
     the conclusion that broke. The potential is None when the norm broke.
     """
     phi = _potential(eig.eigenvalues, a)
     T_next = outer_product_accumulate(T, v)
-    eig_next = eigh(T_next, tols)
+    eig_next = eigh(T_next)
     lam = eig_next.lambda_max
     if lam >= a_next:
         failure = f"norm bound breached: lambda_max = {lam} >= a_next = {a_next} (margin {a_next - lam:.3e})"
         return T_next, eig_next, None, failure
     phi_next = _potential(eig_next.eigenvalues, a_next)
-    if phi_next > phi + tols.potential_slack:
+    if phi_next > phi + _POTENTIAL_SLACK:
         failure = f"potential rose: {phi_next} > {phi} (excess {phi_next - phi:.3e})"
         return T_next, eig_next, phi_next, failure
     return T_next, eig_next, phi_next, None
 
 
-def upper_potential(T: np.ndarray, a: float, tols: Tolerances = DEFAULT_TOLS) -> float:
+def upper_potential(T: np.ndarray, a: float) -> float:
     """Phi^a(T) = Tr((aI - T)^{-1}); requires a above the top eigenvalue."""
-    return _potential(eigh(T, tols).eigenvalues, a)
+    return _potential(eigh(T).eigenvalues, a)
 
 
-def feasibility_value(
-    T: np.ndarray, v: np.ndarray, a: float, a_next: float, tols: Tolerances = DEFAULT_TOLS
-) -> float:
+def feasibility_value(T: np.ndarray, v: np.ndarray, a: float, a_next: float) -> float:
     """The quantity U(v) certifying that T + v (x) v stays under the shifted barrier.
 
     Requires lambda_max(T) < a < a_next. U is nonnegative, vanishes only at
     v = 0, and U <= 1 guarantees both barrier and potential conclusions.
     """
-    eig = eigh(T, tols)
+    eig = eigh(T)
     if not eig.lambda_max < a < a_next:
         raise BarrierError(
             f"need lambda_max < a < a_next, got lambda_max={eig.lambda_max}, a={a}, a_next={a_next}"
         )
-    weights = _weights(eig.eigenvalues, a_next, _gap(eig.eigenvalues, a, a_next, tols))
+    weights = _weights(eig.eigenvalues, a_next, _gap(eig.eigenvalues, a, a_next))
     return float(_feasibility(np.asarray(v)[None, :], eig.eigenvectors, weights)[0])
 
 
-def barrier_push_check(
-    T: np.ndarray, v: np.ndarray, a: float, a_next: float, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[bool, float]:
+def barrier_push_check(T: np.ndarray, v: np.ndarray, a: float, a_next: float) -> tuple[bool, float]:
     """Add v (x) v and confirm the two certified conclusions.
 
     For U(v) <= 1 the norm of T + v (x) v must stay below a_next and the
@@ -177,7 +173,7 @@ def barrier_push_check(
     ToleranceBreachError with the margins spelled out rather than passing
     silently. Returns (norm_ok, potential at a_next after the update).
     """
-    _, _, phi_after, failure = _advance(T, eigh(T, tols), v, a, a_next, tols)
+    _, _, phi_after, failure = _advance(T, eigh(T), v, a, a_next)
     if failure is not None:
         raise ToleranceBreachError(failure)
     return True, phi_after
@@ -291,7 +287,7 @@ def initial_selection_state(F: FrameFamily) -> SelectionState:
     return SelectionState(frame=F, chosen=(), remaining=remaining, T=T, step=0, eig=eig, dft_bins=bins)
 
 
-def _scan(state: SelectionState, schedule: BarrierSchedule, tols: Tolerances) -> tuple:
+def _scan(state: SelectionState, schedule: BarrierSchedule) -> tuple:
     """(a_j, a_{j+1}, eigensystem of T_j, U of every unused vector via that eigenbasis).
 
     U(v) = <M v, v> with M = E f(Lambda) E*. On a DFT row subset,
@@ -311,7 +307,7 @@ def _scan(state: SelectionState, schedule: BarrierSchedule, tols: Tolerances) ->
         raise ToleranceBreachError(
             f"state invalid at step {j}: lambda_max = {eig.lambda_max} >= a_j = {a}"
         )
-    weights = _weights(eig.eigenvalues, a_next, _gap(eig.eigenvalues, a, a_next, tols))
+    weights = _weights(eig.eigenvalues, a_next, _gap(eig.eigenvalues, a, a_next))
     bins = state.dft_bins
     if bins is None:
         return a, a_next, eig, _feasibility(state.frame.vectors[state.remaining - 1], eig.eigenvectors, weights)
@@ -322,28 +318,26 @@ def _scan(state: SelectionState, schedule: BarrierSchedule, tols: Tolerances) ->
     return a, a_next, eig, np.fft.irfft(sums[: m // 2 + 1], m)[state.remaining - 1]
 
 
-def selection_step(
-    state: SelectionState, schedule: BarrierSchedule, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[SelectionState, SelectionStep]:
+def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[SelectionState, SelectionStep]:
     """One greedy step: add the smallest unused index whose U is within the tie band.
 
     With u* the smallest U, the band is U <= u* + tau max(1, u*) for the
     module constant tau = ``_TIE_BAND``. Candidates inside it count as tied,
     so the choice does not depend on roundoff: the same subset comes out of
-    the FFT and the dense scan and of either eigh backend. Returns a new
+    the FFT and the dense scan, and with either eigensolver. Returns a new
     state, whose ``remaining`` lacks the chosen index, and the step's record.
     Raises SelectionError (with the U profile and the unused indices
-    attached) if the chosen U exceeds 1 + ``feasibility_slack``, and
+    attached) if the chosen U exceeds 1 + ``_FEASIBILITY_SLACK``, and
     ToleranceBreachError if a certified inequality fails after the update.
     """
     j = state.step
-    a, a_next, eig, profile = _scan(state, schedule, tols)
+    a, a_next, eig, profile = _scan(state, schedule)
     u_min = float(profile.min())
     edge = u_min + _TIE_BAND * max(1.0, u_min)
     inside = profile <= edge
     pos = int(inside.argmax())  # remaining is ascending: the first is the smallest index
     u_best = float(profile[pos])
-    if u_best > 1.0 + tols.feasibility_slack:
+    if u_best > 1.0 + _FEASIBILITY_SLACK:
         raise SelectionError(
             f"no feasible candidate at step {j}: chosen U = {u_best} (min {u_min}) over {len(profile)} vectors "
             f"(frame invalid or tolerances breached)",
@@ -354,7 +348,7 @@ def selection_step(
     index = int(state.remaining[pos])
     tie_count = int(np.count_nonzero(inside))
     v = state.frame.vectors[index - 1]
-    T_next, eig_next, phi_next, failure = _advance(state.T, eig, v, a, a_next, tols)
+    T_next, eig_next, phi_next, failure = _advance(state.T, eig, v, a, a_next)
     if failure is not None:
         raise ToleranceBreachError(f"step {j + 1}: {failure}")
 
@@ -383,19 +377,17 @@ def selection_step(
     return next_state, record
 
 
-def select_prefixes(
-    F: FrameFamily, ns: Iterable[int], tols: Tolerances = DEFAULT_TOLS
-) -> Iterator[SelectionCertificate]:
-    """Yield ``select_subset(F, n, tols)`` for each n of the nondecreasing ``ns``, from one run.
+def select_prefixes(F: FrameFamily, ns: Iterable[int]) -> Iterator[SelectionCertificate]:
+    """Yield ``select_subset(F, n)`` for each n of the nondecreasing ``ns``, from one run.
 
     a_j does not depend on n, so the run for n is the first n steps of any
     longer run: each step is taken once. An n outside 1..m-1 raises
     ValueError when reached, after the certificates before it.
     """
-    report = validate_frame(F, tols)
+    report = validate_frame(F)
     if not report.count_ok:
         raise FrameError(f"invalid frame: {report.summary()}")
-    if report.norm_deviation > tols.rescale_limit or report.parseval_deviation > tols.rescale_limit:
+    if report.norm_deviation > _RESCALE_LIMIT or report.parseval_deviation > _RESCALE_LIMIT:
         raise FrameError(f"frame too far from contract: {report.summary()}")
     state = initial_selection_state(F)
     steps = []
@@ -406,7 +398,7 @@ def select_prefixes(
             raise ValueError(f"n must not decrease, got {n} after {state.step}")
         schedule = barrier_schedule(F.N, F.m, n)
         while state.step < n:
-            state, record = selection_step(state, schedule, tols)
+            state, record = selection_step(state, schedule)
             steps.append(record)
         yield SelectionCertificate(
             schedule=schedule,
@@ -418,32 +410,28 @@ def select_prefixes(
         )
 
 
-def select_subset(F: FrameFamily, n: int, tols: Tolerances = DEFAULT_TOLS) -> SelectionCertificate:
+def select_subset(F: FrameFamily, n: int) -> SelectionCertificate:
     """Greedily select n of the m frame vectors with ||T_n|| < a_n.
 
-    The frame must satisfy m = k N and stay within ``tols.rescale_limit`` of
-    the exact norm and Parseval contracts; deviations beyond ``tols.frame_tol``
-    are tolerated (the guarantee degrades gracefully) and recorded on the
-    certificate. Requires 1 <= n < m.
+    The frame must satisfy m = k N and stay within ``_RESCALE_LIMIT`` of the
+    exact norm and Parseval contracts; deviations beyond ``validate_frame``'s
+    tolerance are tolerated (the guarantee degrades gracefully) and recorded
+    on the certificate. Requires 1 <= n < m.
     """
-    return next(select_prefixes(F, (n,), tols))
+    return next(select_prefixes(F, (n,)))
 
 
-def averaging_identity_check(
-    state: SelectionState, schedule: BarrierSchedule, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[float, int]:
+def averaging_identity_check(state: SelectionState, schedule: BarrierSchedule) -> tuple[float, int]:
     """Sum of U over the unused vectors, and their count m - j.
 
     For exact frames the sum never exceeds the count (the proof's averaging
     step), which is why the greedy choice always finds U <= 1.
     """
-    profile = _scan(state, schedule, tols)[3]
+    profile = _scan(state, schedule)[3]
     return float(profile.sum()), len(profile)
 
 
-def complement_lower_bound(
-    F: FrameFamily, cert: SelectionCertificate, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[float, float]:
+def complement_lower_bound(F: FrameFamily, cert: SelectionCertificate) -> tuple[float, float]:
     """Smallest eigenvalue of the complement sum, against its bound 1 - a_n.
 
     The unselected m - n vectors sum to I - T_n, so the upper barrier on the
@@ -453,7 +441,7 @@ def complement_lower_bound(
     unselected = np.ones(F.m, dtype=bool)
     unselected[np.asarray(cert.indices, dtype=np.int64) - 1] = False
     rows = F.vectors[unselected]
-    eig = eigh(rows.T @ rows.conj(), tols)
+    eig = eigh(rows.T @ rows.conj())
     return eig.lambda_min, 1.0 - cert.bound
 
 
@@ -498,9 +486,7 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def verify_certificate(
-    F: FrameFamily, cert: SelectionCertificate, tols: Tolerances = DEFAULT_TOLS
-) -> CertificateReport:
+def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> CertificateReport:
     """Recompute every certificate claim from the frame alone.
 
     Replays the recorded choices step by step against the formula's
@@ -541,7 +527,7 @@ def verify_certificate(
         return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
 
     T = np.zeros((F.k, F.k), dtype=np.complex128)
-    eig = eigh(T, tols)
+    eig = eigh(T)
     min_margin = math.inf
     details = []
     for j, step in enumerate(cert.steps, 1):
@@ -549,13 +535,13 @@ def verify_certificate(
         v = F.vectors[step.index - 1]
         if step.j != j:
             details.append(f"step {j}: recorded as step {step.j}")
-        gap = _gap(eig.eigenvalues, a, a_next, tols)
+        gap = _gap(eig.eigenvalues, a, a_next)
         u = resolvent_quadratic_form(eig, a_next, v, 2) / gap + resolvent_quadratic_form(eig, a_next, v, 1)
         if abs(u - step.feasibility) > 1e-8 * max(1.0, abs(u)):
             details.append(f"step {j}: recorded U {step.feasibility} != recomputed {u}")
-        if u > 1.0 + tols.feasibility_slack:
+        if u > 1.0 + _FEASIBILITY_SLACK:
             details.append(f"step {j}: U = {u} exceeds 1 + slack")
-        T, eig, phi, failure = _advance(T, eig, v, a, a_next, tols)
+        T, eig, phi, failure = _advance(T, eig, v, a, a_next)
         lam = eig.lambda_max
         min_margin = min(min_margin, a_next - lam)
         if phi is None:

@@ -55,6 +55,14 @@ class TestGen:
         assert run("verify", "--frame", frame_file, "--cert", cert, "--tol", 1e-3) == 2
         assert run("katz", "--N", 2, "--tol", 1e-3, "--out", tmp_path / "k.json") == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+    def test_tol_must_be_finite_and_nonnegative(self, tol, tmp_path, capsys):
+        # a bad flag is a usage error, not a frame that fails validation
+        out = tmp_path / "f.json"
+        assert run("gen", "--k", 2, "--N", 2, "--tol", tol, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture()
 def frame_file(tmp_path):
@@ -185,6 +193,15 @@ class TestSweep:
         assert run("sweep", "--k", 2) == 2
         assert run("sweep", "--k", 2, "--N", 4) == 2
         assert run("sweep", "--k", 2, "--N-list", "4", "--n-min", 1, "--n-max", 2) == 2
+        for N_list in (",", ",,", ""):
+            assert run("sweep", "--k", 4, "--N-list", N_list) == 2
+
+    @pytest.mark.parametrize("ratio", ["inf", "nan", "0", "1", "-0.5", "1.5"])
+    def test_n_list_ratio_must_lie_inside_zero_one(self, ratio, capsys):
+        assert run("sweep", "--k", 4, "--N-list", 25, "--ratio", ratio) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
 
 class TestKatz:
@@ -207,6 +224,20 @@ class TestKatz:
 
     def test_rejects_nonpositive_n(self, tmp_path):
         assert run("katz", "--N", 0, "--out", tmp_path / "k.json") == 2
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sampled_needs_a_positive_trial_count(self, trials, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        assert run("katz", "--N", 3, "--sampled", "--trials", trials, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trials_needs_sampled(self, tmp_path, capsys):
+        # an exhaustive run checks every subset, so a trial count would be ignored
+        out = tmp_path / "k.json"
+        assert run("katz", "--N", 3, "--trials", 5, "--out", out) == 2
+        assert "--sampled" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:

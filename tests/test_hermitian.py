@@ -6,7 +6,6 @@ import pytest
 from framesel import (
     BarrierError,
     ConvergenceError,
-    DEFAULT_TOLS,
     EigenSystem,
     chebyshev_sum_bound,
     composed_resolvent_inverse,
@@ -70,38 +69,36 @@ class TestHermitianBasics:
         with pytest.raises(ValueError):
             eigh(T)
 
-    def test_eigh_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            eigh(np.eye(2), DEFAULT_TOLS.with_overrides(eigh_backend="qr"))
-
 
 class TestEigensolvers:
-    @pytest.mark.parametrize("backend", ["lapack", "jacobi"])
-    def test_matches_charpoly_roots(self, backend):
+    @pytest.mark.parametrize("solve", [lapack_eigh, jacobi_eigh], ids=["lapack", "jacobi"])
+    def test_matches_charpoly_roots(self, solve):
         rng = np.random.default_rng(7)
-        tols = DEFAULT_TOLS.with_overrides(eigh_backend=backend)
         for k in (2, 3, 4, 5, 6):
             T = random_hermitian(rng, k)
-            eig = eigh(T, tols)
+            eig = solve(T)
             oracle = eigenvalues_by_charpoly(T)
             assert np.allclose(eig.eigenvalues, oracle, atol=1e-8)
 
-    @pytest.mark.parametrize("backend", ["lapack", "jacobi"])
-    def test_reconstruction_and_orthonormality(self, backend):
+    @pytest.mark.parametrize("solve", [lapack_eigh, jacobi_eigh], ids=["lapack", "jacobi"])
+    def test_reconstruction_and_orthonormality(self, solve):
         rng = np.random.default_rng(8)
-        tols = DEFAULT_TOLS.with_overrides(eigh_backend=backend)
         for k in (1, 2, 5, 9):
             T = random_hermitian(rng, k)
-            eig = eigh(T, tols)
+            eig = solve(T)
             assert np.linalg.norm(eig.reconstruct() - T) < 1e-11 * max(1.0, np.linalg.norm(T))
             U = eig.eigenvectors
             assert np.linalg.norm(U.conj().T @ U - np.eye(k)) < 1e-12 * k
 
     def test_eigenvalues_ascending(self):
+        # eigh hands on LAPACK's arrays unsorted and uncopied; the certificate
+        # bytes depend on their order and on C-contiguous eigenvectors
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            eig = eigh(random_hermitian(rng, 6))
+        sizes = [6] * 20 + [1, 2, 8, 64]
+        for T in [random_hermitian(rng, k) for k in sizes] + [outer_product(random_unit(rng, 8))]:
+            eig = eigh(T)
             assert np.all(np.diff(eig.eigenvalues) >= 0.0)
+            assert eig.eigenvectors.flags.c_contiguous
 
     def test_determinant_equals_eigenvalue_product(self):
         rng = np.random.default_rng(10)

@@ -147,6 +147,13 @@ class TestDichotomy:
         assert dichotomy_check(build_katz(2)).mode == "exhaustive"
         assert dichotomy_check(build_katz(7), trials=50).mode == "sampled"
 
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
+    def test_rejects_nonpositive_trials(self, mode):
+        # zero draws would pass having checked nothing
+        for trials in (0, -1):
+            with pytest.raises(ValueError):
+                dichotomy_check(build_katz(3), mode=mode, trials=trials)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             dichotomy_check(build_katz(2), mode="guess")

@@ -1,7 +1,7 @@
 """The FFT scan of DFT row-subset frames, its detection, and the greedy tie band.
 
 The subset a run selects must not depend on how U was computed: the FFT and
-the dense scan, and the lapack and jacobi eigh backends, differ in roundoff
+the dense scan, and the lapack and jacobi eigensolvers, differ in roundoff
 only, and the tie band absorbs roundoff.
 """
 
@@ -17,13 +17,13 @@ import pytest
 
 import framesel
 from framesel import (
-    DEFAULT_TOLS,
     FrameFamily,
     barrier_schedule,
     frame_from_dict,
     frame_to_dict,
     harmonic_frame,
     initial_selection_state,
+    jacobi_eigh,
     modulated_harmonic_frame,
     select_prefixes,
     select_subset,
@@ -31,8 +31,8 @@ from framesel import (
     verify_certificate,
 )
 from framesel import selector
+from framesel.hermitian import require_hermitian
 
-JACOBI = DEFAULT_TOLS.with_overrides(eigh_backend="jacobi")
 # criterion 11's frames and sizes
 N_LIST = [(harmonic_frame(4, N), 2 * N) for N in (25, 100, 400)]
 DFT_ROW_OFFSETS = selector._dft_row_offsets
@@ -71,8 +71,8 @@ class TestScansAgree:
         state = initial_selection_state(F)
         assert state.dft_bins is not None
         for _ in range(n):
-            fft_u = selector._scan(state, sched, DEFAULT_TOLS)[3]
-            dense_u = selector._scan(dataclasses.replace(state, dft_bins=None), sched, DEFAULT_TOLS)[3]
+            fft_u = selector._scan(state, sched)[3]
+            dense_u = selector._scan(dataclasses.replace(state, dft_bins=None), sched)[3]
             np.testing.assert_allclose(fft_u, dense_u, rtol=1e-13, atol=0.0)
             state, _ = selection_step(state, sched)
 
@@ -90,9 +90,11 @@ class TestScansAgree:
     @pytest.mark.parametrize(
         "F, n", [(harmonic_frame(k, N), k * N - 1) for k, N in ((8, 25), (4, 25), (8, 9))] + N_LIST
     )
-    def test_jacobi_selects_the_lapack_subsets(self, F, n):
+    def test_jacobi_selects_the_lapack_subsets(self, F, n, monkeypatch):
         # full runs, plus the criterion-11 N-list
-        assert order(select_subset(F, n, JACOBI)) == order(select_subset(F, n))
+        lapack = order(select_subset(F, n))
+        monkeypatch.setattr(selector, "eigh", lambda T: jacobi_eigh(require_hermitian(T)))
+        assert order(select_subset(F, n)) == lapack
 
 
 class TestDetection:
@@ -137,7 +139,7 @@ class TestTieBand:
         state = initial_selection_state(F)
         ties = 0
         for _ in range(n):
-            profile = selector._scan(state, sched, DEFAULT_TOLS)[3]
+            profile = selector._scan(state, sched)[3]
             u_min = profile.min()
             edge = u_min + selector._TIE_BAND * max(1.0, u_min)
             inside = profile <= edge

@@ -13,7 +13,6 @@ from framesel import (
     FrameFamily,
     SelectionError,
     ToleranceBreachError,
-    DEFAULT_TOLS,
     averaging_identity_check,
     barrier_push_check,
     barrier_schedule,
@@ -34,6 +33,7 @@ from framesel import (
     upper_potential,
     verify_certificate,
 )
+from framesel import selector
 
 from oracles import feasibility_by_inverse, potential_by_inverse, random_psd, random_unit
 
@@ -279,12 +279,12 @@ class TestSelection:
         assert cert.margin > 0.0
         assert cert.norm_deviation > 0.0
 
-    def test_selection_error_carries_profile(self):
+    def test_selection_error_carries_profile(self, monkeypatch):
         # an impossible feasibility threshold forces the no-candidate path
         F = harmonic_frame(2, 4)
-        tols = DEFAULT_TOLS.with_overrides(feasibility_slack=-2.0)
+        monkeypatch.setattr(selector, "_FEASIBILITY_SLACK", -2.0)
         with pytest.raises(SelectionError) as err:
-            select_subset(F, 2, tols)
+            select_subset(F, 2)
         assert err.value.u_profile is not None
         assert len(err.value.u_profile) == F.m
         assert err.value.remaining.tolist() == list(range(1, F.m + 1))
