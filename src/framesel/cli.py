@@ -71,9 +71,12 @@ def _fmt(x: float) -> str:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "harmonic":
+        if args.seed is not None:
+            raise UsageError("--seed applies only with --kind modulated")
         frame = harmonic_frame(args.k, args.N)
     else:
-        frame = modulated_harmonic_frame(args.k, args.N, seed=args.seed)
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        frame = modulated_harmonic_frame(args.k, args.N, seed=seed)
     report = validate_frame(frame) if args.tol is None else validate_frame(frame, args.tol)
     save_frame(frame, args.out)
     print(f"wrote {args.out}")
@@ -97,9 +100,10 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def _sweep_rows(args: argparse.Namespace):
     if args.N_list:
+        ratio = 0.5 if args.ratio is None else args.ratio
         for N in args.N_list:
             frame = harmonic_frame(args.k, N)
-            yield frame, select_subset(frame, round(args.ratio * frame.m))
+            yield frame, select_subset(frame, round(ratio * frame.m))
     else:
         # one greedy run serves the whole n-range: each n is a prefix of it
         frame = harmonic_frame(args.k, args.N)
@@ -115,7 +119,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.N_list is None:
         if args.n_min is None or args.n_max is None:
             raise UsageError("sweep over one frame needs both --n-min and --n-max")
-    if not 0.0 < args.ratio < 1.0:
+        if args.ratio is not None:
+            raise UsageError("--ratio applies only with --N-list; an n-range sets n directly")
+    elif args.ratio is not None and not 0.0 < args.ratio < 1.0:
         raise UsageError(f"--ratio must lie strictly between 0 and 1, got {args.ratio}")
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -142,10 +148,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_katz(args: argparse.Namespace) -> int:
-    if args.N < 1:
-        raise UsageError(f"--N must be positive, got {args.N}")
-    if not args.sampled and args.trials is not None:
-        raise UsageError("--trials applies only with --sampled")
+    if not args.sampled and (args.trials is not None or args.seed is not None):
+        raise UsageError("--trials and --seed apply only with --sampled")
     if not args.sampled and args.N > _EXHAUSTIVE_MAX_N:
         raise UsageError(
             f"exhaustive check over 2^{2 * args.N} subsets is out of reach for N = {args.N}; "
@@ -153,8 +157,9 @@ def cmd_katz(args: argparse.Namespace) -> int:
         )
     system = build_katz(args.N)
     mode = "sampled" if args.sampled else "exhaustive"
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     trials = {} if args.trials is None else {"trials": args.trials}
-    report = dichotomy_check(system, mode=mode, seed=args.seed, **trials)
+    report = dichotomy_check(system, mode=mode, seed=seed, **trials)
     save_dichotomy_report(report, args.out)
     print(f"wrote {args.out}")
     print(
@@ -219,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True, help="ambient dimension")
     p.add_argument("--N", type=int, required=True, help="norm parameter (>= 2); m = k*N vectors")
     p.add_argument("--kind", choices=("harmonic", "modulated"), default="harmonic")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for --kind modulated (default 0)")
+    p.add_argument("--seed", type=int, default=None, help="seed for --kind modulated (default 0)")
     p.add_argument("--out", default="frame.json", help="output path (default frame.json)")
     p.add_argument("--tol", type=_tolerance, default=None, help="frame validation tolerance (default 1e-9)")
     p.set_defaults(func=cmd_gen)
@@ -237,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--N-list", dest="N_list", type=_int_list, default=None,
                    help="comma-separated N values, each run at --ratio")
-    p.add_argument("--ratio", type=float, default=0.5, help="n/m for --N-list runs (default 0.5)")
+    p.add_argument("--ratio", type=float, default=None, help="n/m for --N-list runs (default 0.5)")
     p.add_argument("--out", default=None, help="CSV path (default: standard output)")
     p.set_defaults(func=cmd_sweep)
 
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="half the ground-set size")
     p.add_argument("--sampled", action="store_true", help="sample subsets instead of enumerating all")
     p.add_argument("--trials", type=int, default=None, help="sample count for --sampled")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed (default 0)")
+    p.add_argument("--seed", type=int, default=None, help="sampling seed for --sampled (default 0)")
     p.add_argument("--out", default="katz_report.json", help="output path (default katz_report.json)")
     p.set_defaults(func=cmd_katz)
 
@@ -272,9 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FrameError, CertificateMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # BarrierError is a ValueError, so the failure clause must come first
     except (SelectionError, ToleranceBreachError, BarrierError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         if isinstance(exc, SelectionError) and exc.u_profile is not None:
@@ -285,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return EXIT_FAIL
+    except (FrameError, CertificateMismatchError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .hermitian import eigh, require_hermitian
+from .hermitian import eigh
 
 _FRAME_TOL = 1e-9        # frame validation (norms, Parseval), unless validate_frame is given a tol
 _RESCALE_LIMIT = 1e-6    # worst norm deviation rescale_norms repairs and select_subset accepts
@@ -42,7 +42,7 @@ class FrameFamily:
         vs = np.asarray(self.vectors, dtype=np.complex128)
         if vs.ndim != 2 or vs.shape[1] != self.k:
             raise FrameError(f"vector array must have shape (m, {self.k}), got {vs.shape}")
-        if not (np.all(np.isfinite(vs.real)) and np.all(np.isfinite(vs.imag))):
+        if not np.isfinite(vs).all():
             raise FrameError("frame vectors contain NaN or Inf")
         vs = np.ascontiguousarray(vs)
         vs.setflags(write=False)
@@ -203,24 +203,26 @@ def projection_to_frame(P: np.ndarray, N: int) -> FrameFamily:
 
     ``P`` must be an m x m projection whose diagonal entries all equal 1/N;
     the result is the family P e_i expressed in an orthonormal eigenbasis of
-    the range, which has dimension k = rank(P) = m / N.
+    the range, which has dimension k = rank(P) = m / N. A P that is not
+    Hermitian, or holds NaN or Inf, raises ValueError from ``eigh``; the other
+    contracts raise FrameError.
     """
     if N < 2:
         raise FrameError(f"norm parameter N must be at least 2, got {N}")
-    P = require_hermitian(P)
-    m = P.shape[0]
-    idem_dev = float(np.linalg.norm(P @ P - P))
-    if idem_dev > _FRAME_TOL * max(1.0, float(np.linalg.norm(P))):
+    eig = eigh(P)
+    m = eig.dim
+    # for Hermitian P = E diag(lam) E*, ||P^2 - P||_F = ||lam^2 - lam|| and ||P||_F = ||lam||
+    lam = eig.eigenvalues
+    idem_dev = float(np.linalg.norm(lam * lam - lam))
+    if idem_dev > _FRAME_TOL * max(1.0, float(np.linalg.norm(lam))):
         raise FrameError(f"not a projection: ||P^2 - P||_F = {idem_dev:.3e}")
-    diag = np.real(np.diag(P))
-    diag_dev = float(np.max(np.abs(diag - 1.0 / N)))
+    diag_dev = float(np.max(np.abs(np.real(np.diagonal(P)) - 1.0 / N)))
     if diag_dev > _FRAME_TOL:
         raise FrameError(f"diagonal entries deviate from 1/{N} by {diag_dev:.3e}")
     if m % N != 0:
         raise FrameError(f"rank m/N = {m}/{N} is not integral")
     k = m // N
-    eig = eigh(P)
-    range_mask = eig.eigenvalues > 0.5
+    range_mask = lam > 0.5
     rank = int(np.count_nonzero(range_mask))
     if rank != k:
         raise FrameError(f"rank {rank} does not match trace m/N = {k}")
@@ -246,7 +248,8 @@ def compressed_gram(P: np.ndarray, selector: DiagonalSelector) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # JSON interchange. Complex numbers are two-element [re, im] arrays; NaN and
-# Inf are refused in both directions; doubles survive a write/read round trip
+# Inf are refused in both directions (on reading, frames by FrameFamily and
+# other numbers by _number); doubles survive a write/read round trip
 # bit for bit (shortest-repr decimal serialization). Loaders check types and
 # coerce nothing: a count is an integer, a value is a number, and neither may
 # be a string or a boolean.
@@ -260,10 +263,13 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
-    """``value`` as a float if it is a real number; TypeError for strings, booleans and the rest."""
+    """``value`` as a float if it is a finite real number; TypeError for strings, booleans and the rest."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
 
 
 def _encode_complex_rows(rows: np.ndarray) -> list:
@@ -271,27 +277,25 @@ def _encode_complex_rows(rows: np.ndarray) -> list:
     return np.ascontiguousarray(rows, dtype=np.complex128)[..., None].view(np.float64).tolist()
 
 
-def _decode_complex_rows(data, rows: int, cols: int, what: str) -> np.ndarray:
+def _decode_complex_rows(data, rows: int, cols: int) -> np.ndarray:
     try:
         # [] has shape (0,) as an array: it is the empty block of any row length.
         # Without a dtype numpy converts nothing: strings and nulls keep the
         # array from being numeric.
         pairs = np.empty((0, cols, 2)) if data == [] else np.array(data)
     except (TypeError, ValueError) as exc:
-        raise FrameError(f"{what}: entries must be [re, im] pairs of numbers ({exc})") from exc
+        raise FrameError(f"frame vectors: entries must be [re, im] pairs of numbers ({exc})") from exc
     if pairs.shape != (rows, cols, 2):
-        raise FrameError(f"{what}: expected {rows} rows of {cols} [re, im] pairs, got shape {pairs.shape}")
+        raise FrameError(f"frame vectors: expected {rows} rows of {cols} [re, im] pairs, got shape {pairs.shape}")
     if pairs.dtype.kind not in "fiu":
-        raise FrameError(f"{what}: entries must be numbers within double range (read as {pairs.dtype})")
+        raise FrameError(f"frame vectors: entries must be numbers within double range (read as {pairs.dtype})")
     # a boolean among numbers becomes 0 or 1, so only those entries need a look
     hits = np.flatnonzero((pairs == 0) | (pairs == 1))
     for r, c, p in zip(*np.unravel_index(hits, pairs.shape)):
         if isinstance(data[r][c][p], bool):
-            raise FrameError(f"{what}: entry [{r}][{c}][{p}] is a boolean, not a number")
-    pairs = pairs.astype(np.float64)
-    if not np.isfinite(pairs).all():
-        raise FrameError(f"{what}: entries must be finite")
-    return pairs.view(np.complex128)[..., 0]
+            raise FrameError(f"frame vectors: entry [{r}][{c}][{p}] is a boolean, not a number")
+    # NaN and Inf pass here: FrameFamily refuses them
+    return pairs.astype(np.float64).view(np.complex128)[..., 0]
 
 
 def frame_to_dict(F: FrameFamily) -> dict:
@@ -303,7 +307,7 @@ def frame_from_dict(data: dict) -> FrameFamily:
         k, N, m = (_integer(data[key]) for key in ("k", "N", "m"))
     except (KeyError, TypeError) as exc:
         raise FrameError(f"frame JSON missing or malformed header: {exc}") from exc
-    vectors = _decode_complex_rows(data.get("vectors"), m, k, "frame vectors")
+    vectors = _decode_complex_rows(data.get("vectors"), m, k)
     return FrameFamily(k=k, N=N, vectors=vectors)
 
 
@@ -326,27 +330,3 @@ def save_frame(F: FrameFamily, path) -> None:
 def load_frame(path) -> FrameFamily:
     return frame_from_dict(_read_json(path))
 
-
-def projection_to_dict(P: np.ndarray) -> dict:
-    P = np.asarray(P, dtype=np.complex128)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise FrameError(f"expected a square matrix, got shape {P.shape}")
-    if not (np.all(np.isfinite(P.real)) and np.all(np.isfinite(P.imag))):
-        raise FrameError("projection contains NaN or Inf")
-    return {"m": int(P.shape[0]), "entries": _encode_complex_rows(P)}
-
-
-def projection_from_dict(data: dict) -> np.ndarray:
-    try:
-        m = _integer(data["m"])
-    except (KeyError, TypeError) as exc:
-        raise FrameError(f"projection JSON missing or malformed header: {exc}") from exc
-    return _decode_complex_rows(data.get("entries"), m, m, "projection entries")
-
-
-def save_projection(P: np.ndarray, path) -> None:
-    _write_json(projection_to_dict(P), path)
-
-
-def load_projection(path) -> np.ndarray:
-    return projection_from_dict(_read_json(path))

@@ -27,20 +27,18 @@ def hermitian_defect(T: np.ndarray) -> float:
 
 
 def require_hermitian(T: np.ndarray) -> np.ndarray:
-    """Validate conjugate symmetry within ``_HERMITIAN_ATOL`` and return a symmetrized copy."""
+    """Validate conjugate symmetry within ``_HERMITIAN_ATOL`` and return a symmetrized copy.
+
+    One pass on valid input: a NaN or Inf entry makes the defect NaN or Inf.
+    """
     T = np.asarray(T, dtype=np.complex128)
-    if not (np.all(np.isfinite(T.real)) and np.all(np.isfinite(T.imag))):
-        raise ValueError("matrix contains NaN or Inf")
-    defect = hermitian_defect(T)
-    if defect > _HERMITIAN_ATOL:
+    with np.errstate(invalid="ignore"):  # inf - inf is a refusal, not a warning
+        defect = hermitian_defect(T)
+    if not defect <= _HERMITIAN_ATOL:
+        if not np.isfinite(T).all():
+            raise ValueError("matrix contains NaN or Inf")
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {_HERMITIAN_ATOL:.3e}")
     return 0.5 * (T + T.conj().T)
-
-
-def outer_product(v: np.ndarray) -> np.ndarray:
-    """The rank-one operator u -> <u, v> v, as the matrix v v*."""
-    v = np.asarray(v, dtype=np.complex128)
-    return np.outer(v, v.conj())
 
 
 def outer_product_accumulate(T: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -183,8 +181,8 @@ def jacobi_eigh(
 def eigh(T: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix by LAPACK.
 
-    The input must be Hermitian within ``_HERMITIAN_ATOL``; it is symmetrized
-    before factorization.
+    The input must be finite and Hermitian within ``_HERMITIAN_ATOL``, or
+    ValueError is raised; it is symmetrized before factorization.
     """
     return lapack_eigh(require_hermitian(T))
 

@@ -53,11 +53,6 @@ class KatzSystem:
         return 2 * self.N
 
     @property
-    def m(self) -> int:
-        """Number of functions, one per ground element."""
-        return 2 * self.N
-
-    @property
     def num_points(self) -> int:
         return int(self.masks.shape[0])
 

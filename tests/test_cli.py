@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from framesel import complement_lower_bound, load_certificate, load_frame, verify_certificate
+from framesel import complement_lower_bound, load_certificate, load_frame, selector, verify_certificate
 from framesel.cli import CSV_COLUMNS, main
 
 
@@ -36,6 +36,17 @@ class TestGen:
 
     def test_rejects_n_one(self, tmp_path):
         assert run("gen", "--k", 3, "--N", 1, "--out", tmp_path / "x.json") == 2
+
+    def test_seed_needs_modulated(self, tmp_path, capsys):
+        # a harmonic frame has no randomness, so a seed would be ignored
+        out = tmp_path / "f.json"
+        assert run("gen", "--k", 2, "--N", 2, "--seed", 9, "--out", out) == 2
+        assert "--kind modulated" in capsys.readouterr().err
+        assert not out.exists()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("gen", "--k", 2, "--N", 3, "--kind", "modulated", "--out", a) == 0
+        assert run("gen", "--k", 2, "--N", 3, "--kind", "modulated", "--seed", 0, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unwritable_path_is_io_error(self):
         assert run("gen", "--k", 2, "--N", 2, "--out", "/nonexistent/dir/f.json") == 3
@@ -196,6 +207,23 @@ class TestSweep:
         for N_list in (",", ",,", ""):
             assert run("sweep", "--k", 4, "--N-list", N_list) == 2
 
+    def test_ratio_needs_n_list(self, capsys):
+        # an n-range sets n directly, so a ratio would be ignored
+        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 2, "--ratio", 0.9) == 2
+        captured = capsys.readouterr()
+        assert "--N-list" in captured.err
+        assert captured.out == ""
+        assert run("sweep", "--k", 2, "--N-list", "4,9") == 0
+        default = capsys.readouterr().out
+        assert run("sweep", "--k", 2, "--N-list", "4,9", "--ratio", 0.5) == 0
+        assert capsys.readouterr().out == default
+
+    def test_barrier_failure_exits_one(self, monkeypatch, capsys):
+        # BarrierError is a ValueError; a selection failure still exits 1, not 2
+        monkeypatch.setattr(selector, "_GAP_FLOOR", 1e9)
+        assert main(["sweep", "--k", "2", "--N", "4", "--n-min", "1", "--n-max", "2"]) == 1
+        assert capsys.readouterr().err.startswith("failure:")
+
     @pytest.mark.parametrize("ratio", ["inf", "nan", "0", "1", "-0.5", "1.5"])
     def test_n_list_ratio_must_lie_inside_zero_one(self, ratio, capsys):
         assert run("sweep", "--k", 4, "--N-list", 25, "--ratio", ratio) == 2
@@ -238,6 +266,17 @@ class TestKatz:
         assert run("katz", "--N", 3, "--trials", 5, "--out", out) == 2
         assert "--sampled" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_needs_sampled(self, tmp_path, capsys):
+        # an exhaustive run draws nothing, so a seed would be ignored
+        out = tmp_path / "k.json"
+        assert run("katz", "--N", 3, "--seed", 5, "--out", out) == 2
+        assert "--sampled" in capsys.readouterr().err
+        assert not out.exists()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("katz", "--N", 4, "--sampled", "--trials", 50, "--out", a) == 0
+        assert run("katz", "--N", 4, "--sampled", "--trials", 50, "--seed", 0, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestVerify:

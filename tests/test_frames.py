@@ -16,19 +16,15 @@ from framesel import (
     frame_to_projection,
     harmonic_frame,
     load_frame,
-    load_projection,
     modulated_harmonic_frame,
-    projection_from_dict,
     projection_to_frame,
     rescale_norms,
     build_katz,
     certificate_to_dict,
     dichotomy_check,
-    projection_to_dict,
     save_certificate,
     save_dichotomy_report,
     save_frame,
-    save_projection,
     select_subset,
     validate_frame,
 )
@@ -188,8 +184,21 @@ class TestProjectionDuality:
             projection_to_frame(np.eye(3), 1)
 
     def test_projection_to_frame_rejects_non_projection(self):
-        with pytest.raises(FrameError):
+        # Hermitian with diagonal 1/2, but its eigenvalues are 1/2, not 0 or 1
+        with pytest.raises(FrameError, match="not a projection"):
             projection_to_frame(0.5 * np.eye(4), 2)
+
+    def test_projection_to_frame_refuses_non_hermitian(self):
+        # eigh makes the one Hermitian check, so these are ValueError, not FrameError
+        P = frame_to_projection(harmonic_frame(2, 3))
+        skew = P.copy()
+        skew[0, 1] += 1e-6
+        nan = P.copy()
+        nan[2, 2] = np.nan
+        for bad, message in ((skew, "not Hermitian"), (nan, "NaN or Inf")):
+            with pytest.raises(ValueError, match=message) as info:
+                projection_to_frame(bad, 3)
+            assert info.type is ValueError
 
     def test_projection_to_frame_rejects_wrong_diagonal(self):
         F = harmonic_frame(2, 3)
@@ -268,11 +277,18 @@ class TestJsonFormats:
         assert len(data["vectors"][0]) == 2
         assert len(data["vectors"][0][0]) == 2
 
-    def test_frame_json_refuses_nan(self):
+    def test_frame_json_refuses_nan(self, tmp_path):
         data = frame_to_dict(harmonic_frame(2, 2))
         data["vectors"][0][0][0] = float("nan")
         with pytest.raises(FrameError):
             frame_from_dict(data)
+        # json reads these texts as inf or nan; the decoder leaves them to FrameFamily
+        data["vectors"][0][0][0] = "entry"
+        path = tmp_path / "frame.json"
+        for text in ("1e400", "-1e400", "Infinity", "-Infinity", "NaN"):
+            path.write_text(json.dumps(data).replace('"entry"', text))
+            with pytest.raises(FrameError, match="NaN or Inf"):
+                load_frame(path)
 
     def test_frame_json_refuses_wrong_counts(self):
         data = frame_to_dict(harmonic_frame(2, 2))
@@ -311,50 +327,24 @@ class TestJsonFormats:
     @pytest.mark.parametrize(
         "entry", [["0.5", 0.0], [0.5, False], [True, 0.0], ["abc", 0.0]], ids=["numeric-string", "false", "true", "text"]
     )
-    def test_frame_and_projection_entries_must_be_numbers(self, entry):
+    def test_frame_entries_must_be_numbers(self, entry):
         # before, ["0.5", false] loaded as 0.5+0j; integers stay valid numbers
         data = frame_to_dict(harmonic_frame(2, 2))
         data["vectors"][1][1] = entry
         with pytest.raises(FrameError):
             frame_from_dict(data)
-        data = projection_to_dict(frame_to_projection(harmonic_frame(2, 2)))
-        data["entries"][2][3] = entry
-        with pytest.raises(FrameError):
-            projection_from_dict(data)
-        data["m"] = 4.0
-        with pytest.raises(FrameError, match="expected an integer"):
-            projection_from_dict(data)
         assert frame_from_dict({"k": 1, "N": 2, "m": 2, "vectors": [[[1, 0]], [[0, -1]]]}).vectors[1, 0] == -1j
 
     def test_frame_json_refuses_missing_header(self):
         with pytest.raises(FrameError):
             frame_from_dict({"k": 2, "N": 2})
 
-    def test_projection_round_trip(self, tmp_path):
-        P = frame_to_projection(harmonic_frame(2, 3))
-        path = tmp_path / "proj.json"
-        save_projection(P, path)
-        Q = load_projection(path)
-        assert np.array_equal(P, Q)
-
-    def test_projection_dict_refuses_nan(self):
-        P = np.eye(2, dtype=np.complex128)
-        P[0, 0] = np.nan
-        with pytest.raises(FrameError):
-            save_projection(P, "/dev/null")
-
-    def test_projection_from_dict_refuses_bad_rows(self):
-        with pytest.raises(FrameError):
-            projection_from_dict({"m": 2, "entries": [[[0.0, 0.0]]]})
-
     def test_every_writer_uses_one_file_form(self, tmp_path):
         F = harmonic_frame(2, 3)
-        P = frame_to_projection(F)
         cert = select_subset(F, 3)
         report = dichotomy_check(build_katz(2))
         cases = [
             (save_frame, F, frame_to_dict(F)),
-            (save_projection, P, projection_to_dict(P)),
             (save_certificate, cert, certificate_to_dict(cert)),
             (save_dichotomy_report, report, report.to_dict()),
         ]

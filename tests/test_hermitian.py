@@ -1,5 +1,7 @@
 """Hermitian core: eigensolvers, resolvents, rank-one updates, sum bound."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from framesel import (
     hermitian_defect,
     jacobi_eigh,
     lapack_eigh,
-    outer_product,
     outer_product_accumulate,
     resolvent_quadratic_form,
     resolvent_rank_one_downdate,
@@ -44,30 +45,38 @@ class TestHermitianBasics:
         with pytest.raises(ValueError):
             hermitian_defect(np.zeros((2, 3)))
 
-    def test_outer_product(self):
-        v = np.array([1.0, 1j])
-        P = outer_product(v)
-        expected = np.array([[1.0, -1j], [1j, 1.0]])
-        assert np.allclose(P, expected)
-
     def test_accumulate_matches_sum(self):
         rng = np.random.default_rng(1)
         T = random_psd(rng, 4)
         v = random_unit(rng, 4)
-        assert np.allclose(outer_product_accumulate(T, v), T + outer_product(v))
+        assert np.allclose(outer_product_accumulate(T, v), T + np.outer(v, v.conj()))
 
     def test_accumulate_rejects_mismatched_vector(self):
         with pytest.raises(ValueError):
             outer_product_accumulate(np.zeros((3, 3)), np.zeros(4))
 
     def test_eigh_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not Hermitian"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_eigh_rejects_nan(self):
-        T = np.full((2, 2), np.nan)
-        with pytest.raises(ValueError):
-            eigh(T)
+        # the defect of these is NaN or Inf; no inf - inf warning may escape
+        inputs = [np.full((2, 2), np.nan)]
+        for entry in (np.inf, -np.inf):
+            T = np.eye(3, dtype=np.complex128)
+            T[1, 1] = entry
+            inputs.append(T)
+        T = np.eye(3, dtype=np.complex128)
+        T[0, 2], T[2, 0] = complex(0.0, np.inf), complex(0.0, -np.inf)
+        inputs.append(T)
+        T = np.eye(3, dtype=np.complex128)
+        T[2, 1] = np.nan  # one triangle only
+        inputs.append(T)
+        for T in inputs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    eigh(T)
 
 
 class TestEigensolvers:
@@ -95,7 +104,9 @@ class TestEigensolvers:
         # bytes depend on their order and on C-contiguous eigenvectors
         rng = np.random.default_rng(9)
         sizes = [6] * 20 + [1, 2, 8, 64]
-        for T in [random_hermitian(rng, k) for k in sizes] + [outer_product(random_unit(rng, 8))]:
+        matrices = [random_hermitian(rng, k) for k in sizes]
+        v = random_unit(rng, 8)
+        for T in matrices + [np.outer(v, v.conj())]:
             eig = eigh(T)
             assert np.all(np.diff(eig.eigenvalues) >= 0.0)
             assert eig.eigenvectors.flags.c_contiguous
