@@ -114,8 +114,8 @@ def _sweep_rows(args: argparse.Namespace):
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.N_list is None and args.N is None:
         raise UsageError("sweep needs --N with an n-range, or --N-list with --ratio")
-    if args.N_list is not None and (args.n_min is not None or args.n_max is not None):
-        raise UsageError("--N-list uses --ratio; an n-range applies only with --N")
+    if args.N_list is not None and (args.N is not None or args.n_min is not None or args.n_max is not None):
+        raise UsageError("--N-list uses --ratio; --N and an n-range apply only without it")
     if args.N_list is None:
         if args.n_min is None or args.n_max is None:
             raise UsageError("sweep over one frame needs both --n-min and --n-max")

@@ -23,7 +23,8 @@ def hermitian_defect(T: np.ndarray) -> float:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
     if T.size == 0:
         raise ValueError("empty matrix")
-    return float(np.max(np.abs(T - T.conj().T)))
+    with np.errstate(invalid="ignore"):  # inf - inf gives a NaN defect, not a warning
+        return float(np.max(np.abs(T - T.conj().T)))
 
 
 def require_hermitian(T: np.ndarray) -> np.ndarray:
@@ -32,8 +33,7 @@ def require_hermitian(T: np.ndarray) -> np.ndarray:
     One pass on valid input: a NaN or Inf entry makes the defect NaN or Inf.
     """
     T = np.asarray(T, dtype=np.complex128)
-    with np.errstate(invalid="ignore"):  # inf - inf is a refusal, not a warning
-        defect = hermitian_defect(T)
+    defect = hermitian_defect(T)
     if not defect <= _HERMITIAN_ATOL:
         if not np.isfinite(T).all():
             raise ValueError("matrix contains NaN or Inf")

@@ -21,8 +21,10 @@ exactly their count, so a qualifying vector always exists and the greedy
 loop never stalls. After n steps ||T_n|| < a_n, which is n/m plus an
 O(1/sqrt(N)) term.
 
-Every run emits a SelectionCertificate recording per-step choices, margins,
-and potentials; ``verify_certificate`` recomputes all of it from scratch.
+The loop carries T_j's eigensystem from step to step by a real rank-one
+update. Every run emits a SelectionCertificate recording per-step choices,
+margins, and potentials; ``verify_certificate`` recomputes all of it from
+scratch, factoring each T_j afresh with LAPACK.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     ToleranceBreachError,
 )
 from .frames import _RESCALE_LIMIT, FrameFamily, _integer, _number, _read_json, _write_json, validate_frame
-from .hermitian import EigenSystem, eigh, outer_product_accumulate, resolvent_quadratic_form
+from .hermitian import EigenSystem, eigh, lapack_eigh, outer_product_accumulate, resolvent_quadratic_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,25 +126,42 @@ def _feasibility(rows: np.ndarray, eigenvectors: np.ndarray, weights: np.ndarray
     return np.abs(rows @ eigenvectors.conj()) ** 2 @ weights
 
 
-def _advance(T: np.ndarray, eig: EigenSystem, v: np.ndarray, a: float, a_next: float) -> tuple:
-    """(T + v (x) v, its eigensystem, its Phi^{a_next}, failure), given eig = eigh(T).
+def _rank_one_update(eig: EigenSystem, v: np.ndarray) -> EigenSystem:
+    """The eigensystem of T + v (x) v from eig, the eigensystem of T, by one real k x k eigh.
+
+    With z = E* v, r = |z| and p = z/r (p = 1 where r = 0), E diag(p) r = E z = v,
+    so T + v (x) v = E diag(p) (Lambda + r r^T) diag(p)* E*. The middle matrix is
+    real symmetric; LAPACK factors it as W diag(mu) W^T, deflation and clusters
+    included, and E' = E diag(p) W (Bunch, Nielsen and Sorensen, Numer. Math. 1978).
+    """
+    E = eig.eigenvectors
+    z = E.conj().T @ v
+    r = np.abs(z)
+    p = np.ones_like(z)
+    np.divide(z, r, out=p, where=r > 0.0)
+    mu, W = np.linalg.eigh(np.diag(eig.eigenvalues) + np.outer(r, r))
+    Ep = E * p
+    vectors = np.empty_like(Ep)
+    vectors.real = Ep.real @ W  # two real GEMMs beat one complex-by-real product
+    vectors.imag = Ep.imag @ W
+    return EigenSystem(eigenvalues=mu, eigenvectors=vectors)
+
+
+def _advance(eig: EigenSystem, eig_next: EigenSystem, a: float, a_next: float) -> tuple:
+    """(Phi^{a_next} after the step, failure), given the eigensystems of T and of T + v (x) v.
 
     ``failure`` is None when the norm stays below a_next and the potential does
     not rise above Phi^a(T) by more than ``_POTENTIAL_SLACK``; otherwise it names
     the conclusion that broke. The potential is None when the norm broke.
     """
     phi = _potential(eig.eigenvalues, a)
-    T_next = outer_product_accumulate(T, v)
-    eig_next = eigh(T_next)
     lam = eig_next.lambda_max
     if lam >= a_next:
-        failure = f"norm bound breached: lambda_max = {lam} >= a_next = {a_next} (margin {a_next - lam:.3e})"
-        return T_next, eig_next, None, failure
+        return None, f"norm bound breached: lambda_max = {lam} >= a_next = {a_next} (margin {a_next - lam:.3e})"
     phi_next = _potential(eig_next.eigenvalues, a_next)
     if phi_next > phi + _POTENTIAL_SLACK:
-        failure = f"potential rose: {phi_next} > {phi} (excess {phi_next - phi:.3e})"
-        return T_next, eig_next, phi_next, failure
-    return T_next, eig_next, phi_next, None
+        return phi_next, f"potential rose: {phi_next} > {phi} (excess {phi_next - phi:.3e})"
+    return phi_next, None
 
 
 def upper_potential(T: np.ndarray, a: float) -> float:
@@ -173,7 +192,7 @@ def barrier_push_check(T: np.ndarray, v: np.ndarray, a: float, a_next: float) ->
     ToleranceBreachError with the margins spelled out rather than passing
     silently. Returns (norm_ok, potential at a_next after the update).
     """
-    _, _, phi_after, failure = _advance(T, eigh(T), v, a, a_next)
+    phi_after, failure = _advance(eigh(T), eigh(outer_product_accumulate(T, v)), a, a_next)
     if failure is not None:
         raise ToleranceBreachError(failure)
     return True, phi_after
@@ -188,7 +207,7 @@ class SelectionState:
     remaining: np.ndarray       # (m - j,) int64, 1-based, ascending, read-only; new per step
     T: np.ndarray               # (k, k) rank-one sum over chosen
     step: int                   # j = len(chosen)
-    eig: EigenSystem            # factorization of T
+    eig: EigenSystem            # factorization of T, carried by rank-one updates
     dft_bins: np.ndarray | None = None  # (2 k^2,) FFT-scan bins of a DFT row-subset frame; None scans densely
 
 
@@ -348,7 +367,8 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
     index = int(state.remaining[pos])
     tie_count = int(np.count_nonzero(inside))
     v = state.frame.vectors[index - 1]
-    T_next, eig_next, phi_next, failure = _advance(state.T, eig, v, a, a_next)
+    eig_next = _rank_one_update(eig, v)
+    phi_next, failure = _advance(eig, eig_next, a, a_next)
     if failure is not None:
         raise ToleranceBreachError(f"step {j + 1}: {failure}")
 
@@ -369,7 +389,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
         frame=state.frame,
         chosen=state.chosen + (index,),
         remaining=remaining,
-        T=T_next,
+        T=outer_product_accumulate(state.T, v),
         step=j + 1,
         eig=eig_next,
         dft_bins=state.dft_bins,
@@ -526,8 +546,11 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     if not (count_ok and set_ok):
         return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
 
+    # the replay factors each T it builds with LAPACK, independently of the
+    # selection's rank-one updates. T is finite and Hermitian by construction,
+    # so of the public eigh's work only the symmetrization stays: bytes depend on it
     T = np.zeros((F.k, F.k), dtype=np.complex128)
-    eig = eigh(T)
+    eig = lapack_eigh(T)
     min_margin = math.inf
     details = []
     for j, step in enumerate(cert.steps, 1):
@@ -541,7 +564,10 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
             details.append(f"step {j}: recorded U {step.feasibility} != recomputed {u}")
         if u > 1.0 + _FEASIBILITY_SLACK:
             details.append(f"step {j}: U = {u} exceeds 1 + slack")
-        T, eig, phi, failure = _advance(T, eig, v, a, a_next)
+        T = outer_product_accumulate(T, v)
+        eig_next = lapack_eigh(0.5 * (T + T.conj().T))
+        phi, failure = _advance(eig, eig_next, a, a_next)
+        eig = eig_next
         lam = eig.lambda_max
         min_margin = min(min_margin, a_next - lam)
         if phi is None:

@@ -207,6 +207,14 @@ class TestSweep:
         for N_list in (",", ",,", ""):
             assert run("sweep", "--k", 4, "--N-list", N_list) == 2
 
+    def test_n_list_refuses_n(self, capsys):
+        # the list names every frame, so --N beside it would be ignored
+        assert run("sweep", "--k", 2, "--N-list", "4", "--N", 9) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "--N-list" in captured.err
+        assert captured.out == ""
+
     def test_ratio_needs_n_list(self, capsys):
         # an n-range sets n directly, so a ratio would be ignored
         assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 2, "--ratio", 0.9) == 2

@@ -41,6 +41,14 @@ class TestHermitianBasics:
         T = np.array([[1.0, 2.0], [2.5, 3.0]], dtype=np.complex128)
         assert hermitian_defect(T) == pytest.approx(0.5)
 
+    def test_defect_of_infinite_entry_is_nan_without_warning(self):
+        # the infinite diagonal entry meets its own mirror: inf - inf
+        T = np.eye(2, dtype=np.complex128)
+        T[0, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(hermitian_defect(T))
+
     def test_defect_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             hermitian_defect(np.zeros((2, 3)))

@@ -1,13 +1,15 @@
-"""The FFT scan of DFT row-subset frames, its detection, and the greedy tie band.
+"""The FFT scan of DFT row-subset frames, its detection, the greedy tie band, and the rank-one update.
 
 The subset a run selects must not depend on how U was computed: the FFT and
-the dense scan, and the lapack and jacobi eigensolvers, differ in roundoff
-only, and the tie band absorbs roundoff.
+the dense scan, and the loop's rank-one eigen-update and a fresh lapack or
+jacobi factorization of T, differ in roundoff only, and the tie band absorbs
+roundoff.
 """
 
 import dataclasses
 import json
 import os
+import warnings
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ from framesel import (
     harmonic_frame,
     initial_selection_state,
     jacobi_eigh,
+    load_certificate,
     modulated_harmonic_frame,
     select_prefixes,
     select_subset,
@@ -31,16 +34,37 @@ from framesel import (
     verify_certificate,
 )
 from framesel import selector
-from framesel.hermitian import require_hermitian
+from framesel.hermitian import EigenSystem, eigh, outer_product_accumulate, require_hermitian
 
 # criterion 11's frames and sizes
 N_LIST = [(harmonic_frame(4, N), 2 * N) for N in (25, 100, 400)]
 DFT_ROW_OFFSETS = selector._dft_row_offsets
 DENSE_FEASIBILITY = selector._feasibility
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def order(cert):
     return [step.index for step in cert.steps]
+
+
+def factor_running_sum(solver, calls):
+    """A stand-in for ``selector._rank_one_update`` that factors the running sum T itself.
+
+    It builds its own T from zero with the loop's ``outer_product_accumulate``,
+    so it factors exactly the matrix the loop's update tracks; each call
+    appends to ``calls``.
+    """
+    T = None
+
+    def update(eig, v):
+        nonlocal T
+        if T is None:
+            T = np.zeros((eig.dim, eig.dim), dtype=np.complex128)
+        T = outer_product_accumulate(T, v)
+        calls.append(1)
+        return solver(T)
+
+    return update
 
 
 def generic_frames():
@@ -91,10 +115,14 @@ class TestScansAgree:
         "F, n", [(harmonic_frame(k, N), k * N - 1) for k, N in ((8, 25), (4, 25), (8, 9))] + N_LIST
     )
     def test_jacobi_selects_the_lapack_subsets(self, F, n, monkeypatch):
-        # full runs, plus the criterion-11 N-list
-        lapack = order(select_subset(F, n))
-        monkeypatch.setattr(selector, "eigh", lambda T: jacobi_eigh(require_hermitian(T)))
-        assert order(select_subset(F, n)) == lapack
+        # full runs, plus the criterion-11 N-list: factoring each T afresh with
+        # lapack or with jacobi selects what the rank-one update selects
+        update = order(select_subset(F, n))
+        for solver in (eigh, lambda T: jacobi_eigh(require_hermitian(T))):
+            calls = []
+            monkeypatch.setattr(selector, "_rank_one_update", factor_running_sum(solver, calls))
+            assert order(select_subset(F, n)) == update
+            assert len(calls) == n
 
 
 class TestDetection:
@@ -161,3 +189,59 @@ class TestTieBand:
         assert order(cert) == [1, 2, 3, 4, 5]
         assert [s.tie_count for s in cert.steps] == [6, 5, 4, 3, 2]
         assert all(s.band_gap == np.inf for s in cert.steps)
+
+
+class TestRankOneUpdate:
+    @pytest.mark.parametrize(
+        "F",
+        [harmonic_frame(8, 25), modulated_harmonic_frame(32, 50, seed=7), generic_frames()["haar-rotated"]],
+        ids=["harmonic-8-25", "modulated-32-50", "haar-rotated-4-9"],
+    )
+    def test_update_matches_lapack_at_every_step(self, F):
+        # harmonic-8-25 starts rank-deficient (lambda = 0 has multiplicity k - j)
+        # and keeps clusters; haar-rotated takes the dense scan
+        n = F.m - 1
+        sched = barrier_schedule(F.N, F.m, n)
+        state = initial_selection_state(F)
+        eye = np.eye(F.k)
+        for _ in range(n):
+            state, _ = selection_step(state, sched)
+            E = state.eig.eigenvectors
+            assert np.abs(state.eig.eigenvalues - eigh(state.T).eigenvalues).max() <= 1e-12
+            assert np.linalg.norm(E.conj().T @ E - eye, 2) <= 1e-12
+            assert np.linalg.norm(state.eig.reconstruct() - state.T, 2) <= 1e-12
+
+    @pytest.mark.parametrize("v", [[1, 0, 0, 0], [0, 0, 0.6 * np.exp(0.3j), 0]], ids=["e1", "phase"])
+    def test_zero_components_deflate(self, v):
+        # T diagonal with a double eigenvalue: z = E* v is exactly 0 off v's support
+        T = np.diag([0.5, 0.5, 1.0, 2.0]).astype(np.complex128)
+        v = np.asarray(v, dtype=np.complex128)
+        eig = EigenSystem(eigenvalues=np.diag(T).real.copy(), eigenvectors=np.eye(4, dtype=np.complex128))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            updated = selector._rank_one_update(eig, v)
+        T_next = T + np.outer(v, v.conj())
+        E = updated.eigenvectors
+        np.testing.assert_allclose(updated.eigenvalues, np.sort(np.diag(T_next).real), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(E.conj().T @ E, np.eye(4), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(updated.reconstruct(), T_next, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "name, F",
+        [
+            ("harmonic-8-25-n100", harmonic_frame(8, 25)),
+            ("modulated-6-16-seed3-n48", modulated_harmonic_frame(6, 16, seed=3)),
+        ],
+        ids=["harmonic-8-25", "modulated-6-16"],
+    )
+    def test_certificates_written_by_lapack_factoring_still_verify(self, name, F):
+        # written when the loop factored each T with lapack: the indices are the
+        # same, and the recorded values differ from the update's in last bits only
+        old = load_certificate(DATA / f"certificate-{name}.json")
+        assert verify_certificate(F, old).passed
+        new = select_subset(F, old.n)
+        assert order(new) == order(old)
+        for field in ("feasibility", "potential", "lambda_max"):
+            got, want = ([getattr(s, field) for s in cert.steps] for cert in (new, old))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(new.eigenvalues, old.eigenvalues, rtol=0.0, atol=1e-14)
