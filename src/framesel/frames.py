@@ -324,7 +324,20 @@ def _read_json(path):
 
 
 def save_frame(F: FrameFamily, path) -> None:
-    _write_json(frame_to_dict(F), path)
+    """Write ``frame_to_dict(F)`` in the package's JSON file form, one vector at a time.
+
+    The bytes are ``_write_json``'s: at indent 1 json puts every list element
+    on a line of its own and writes a float as its ``float.__repr__``, so a
+    filled-in row template gives them without json's pure-Python encoder and
+    without the whole document in memory.
+    """
+    row = "  [\n" + ",\n".join(["   [\n    %r,\n    %r\n   ]"] * F.k) + "\n  ]"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n "k": {F.k},\n "N": {F.N},\n "m": {F.m},\n "vectors": ')
+        # a complex128 row is its k [re, im] pairs of doubles in memory
+        for i, pairs in enumerate(F.vectors.view(np.float64)):
+            fh.write((",\n" if i else "[\n") + row % tuple(pairs.tolist()))
+        fh.write("\n ]\n}\n" if F.m else "[]\n}\n")
 
 
 def load_frame(path) -> FrameFamily:

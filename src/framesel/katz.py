@@ -22,7 +22,6 @@ divided by N, and reported ranges are fractions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,12 +101,19 @@ def build_katz(N: int) -> KatzSystem:
             f"C({2 * N}, {N}) = {size} points exceeds the build cap {_BUILD_CAP}; "
             f"use closed_form_range for large N"
         )
-    masks = np.zeros(size, dtype=np.uint64)
-    for pos, combo in enumerate(itertools.combinations(range(2 * N), N)):
-        mask = 0
-        for el in combo:
-            mask |= 1 << el
-        masks[pos] = mask
+    # In lexicographic order the r-subsets of {s, ..., 2N - 1} are those holding
+    # s, as s joined to the (r - 1)-subsets of {s + 1, ...}, and then those without
+    # it. So each s's list is a tail of the list for s - 1, and one array per r,
+    # built from the array for r - 1, holds the lists of every s that r = N needs.
+    masks = np.zeros(1, dtype=np.uint64)  # r = 0: the empty set
+    for r in range(1, N + 1):
+        layer = np.empty(math.comb(N + r, r), dtype=np.uint64)  # r-subsets of {N - r, ..., 2N - 1}
+        pos = 0
+        for first in range(N - r, 2 * N - r + 1):
+            tail = masks[masks.size - math.comb(2 * N - 1 - first, r - 1):]
+            np.bitwise_or(tail, np.uint64(1 << first), out=layer[pos:pos + tail.size])
+            pos += tail.size
+        masks = layer
     masks.setflags(write=False)
     return KatzSystem(N=N, masks=masks)
 

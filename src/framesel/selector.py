@@ -24,7 +24,9 @@ O(1/sqrt(N)) term.
 The loop carries T_j's eigensystem from step to step by a real rank-one
 update. Every run emits a SelectionCertificate recording per-step choices,
 margins, and potentials; ``verify_certificate`` recomputes all of it from
-scratch, factoring each T_j afresh with LAPACK.
+scratch with LAPACK and without the update: each T_j's eigenvalues alone
+(Phi, the gap and the norm need no eigenvectors), each U from one linear
+solve with a_j I - T_{j-1}, and one full factorization of T_n at the end.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from .errors import (
     ToleranceBreachError,
 )
 from .frames import _RESCALE_LIMIT, FrameFamily, _integer, _number, _read_json, _write_json, validate_frame
-from .hermitian import EigenSystem, eigh, lapack_eigh, outer_product_accumulate, resolvent_quadratic_form
+from .hermitian import EigenSystem, eigh, lapack_eigh, outer_product_accumulate
+from .hermitian import resolvent_quadratic_form  # noqa: F401  a perfbench/spans.py patch target
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,18 +150,18 @@ def _rank_one_update(eig: EigenSystem, v: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=mu, eigenvectors=vectors)
 
 
-def _advance(eig: EigenSystem, eig_next: EigenSystem, a: float, a_next: float) -> tuple:
-    """(Phi^{a_next} after the step, failure), given the eigensystems of T and of T + v (x) v.
+def _advance(eigenvalues: np.ndarray, eigenvalues_next: np.ndarray, a: float, a_next: float) -> tuple:
+    """(Phi^{a_next} after the step, failure), given the ascending spectra of T and of T + v (x) v.
 
     ``failure`` is None when the norm stays below a_next and the potential does
     not rise above Phi^a(T) by more than ``_POTENTIAL_SLACK``; otherwise it names
     the conclusion that broke. The potential is None when the norm broke.
     """
-    phi = _potential(eig.eigenvalues, a)
-    lam = eig_next.lambda_max
+    phi = _potential(eigenvalues, a)
+    lam = float(eigenvalues_next[-1])
     if lam >= a_next:
         return None, f"norm bound breached: lambda_max = {lam} >= a_next = {a_next} (margin {a_next - lam:.3e})"
-    phi_next = _potential(eig_next.eigenvalues, a_next)
+    phi_next = _potential(eigenvalues_next, a_next)
     if phi_next > phi + _POTENTIAL_SLACK:
         return phi_next, f"potential rose: {phi_next} > {phi} (excess {phi_next - phi:.3e})"
     return phi_next, None
@@ -192,7 +195,7 @@ def barrier_push_check(T: np.ndarray, v: np.ndarray, a: float, a_next: float) ->
     ToleranceBreachError with the margins spelled out rather than passing
     silently. Returns (norm_ok, potential at a_next after the update).
     """
-    phi_after, failure = _advance(eigh(T), eigh(outer_product_accumulate(T, v)), a, a_next)
+    phi_after, failure = _advance(eigh(T).eigenvalues, eigh(outer_product_accumulate(T, v)).eigenvalues, a, a_next)
     if failure is not None:
         raise ToleranceBreachError(failure)
     return True, phi_after
@@ -368,7 +371,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
     tie_count = int(np.count_nonzero(inside))
     v = state.frame.vectors[index - 1]
     eig_next = _rank_one_update(eig, v)
-    phi_next, failure = _advance(eig, eig_next, a, a_next)
+    phi_next, failure = _advance(eig.eigenvalues, eig_next.eigenvalues, a, a_next)
     if failure is not None:
         raise ToleranceBreachError(f"step {j + 1}: {failure}")
 
@@ -489,6 +492,7 @@ class CertificateReport:
     checks: tuple[tuple[str, bool, str], ...]
     final_margin: float
     min_step_margin: float
+    min_margin_step: int | None = None  # 1-based step of min_step_margin; None if no step replayed
 
     @property
     def passed(self) -> bool:
@@ -504,6 +508,34 @@ class CertificateReport:
         lines.append(f"final margin a_n - lambda_max = {self.final_margin:.6e}")
         lines.append(f"smallest per-step margin      = {self.min_step_margin:.6e}")
         return "\n".join(lines)
+
+
+def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterator[tuple]:
+    """Rebuild T_j = T_{j-1} + v (x) v for the 1-based ``order`` against the barriers ``values``.
+
+    Yields (U, spectrum of T_j, Phi^{a_j}(T_j), failure, T_j) per step, as
+    ``_advance`` gives the last two. U comes from one solve
+    x = (a_j I - T_{j-1})^{-1} v, since that resolvent is Hermitian:
+    <(a_j I - T)^{-2} v, v> = ||x||^2 and <(a_j I - T)^{-1} v, v> = Re <v, x>.
+    The spectra come from LAPACK without eigenvectors, on the symmetrized T_j;
+    none of this goes through the selection's rank-one update.
+    """
+    k = F.k
+    T = np.zeros((k, k), dtype=np.complex128)
+    eigenvalues = np.zeros(k)
+    for j, index in enumerate(order, 1):
+        a, a_next = float(values[j - 1]), float(values[j])
+        v = F.vectors[index - 1]
+        gap = _gap(eigenvalues, a, a_next)
+        shifted = -T
+        shifted.flat[:: k + 1] += a_next  # a_j I - T_{j-1}
+        x = np.linalg.solve(shifted, v)
+        u = float(np.vdot(x, x).real) / gap + float(np.vdot(v, x).real)
+        T = outer_product_accumulate(T, v)
+        eigenvalues_next = np.linalg.eigvalsh(0.5 * (T + T.conj().T))
+        phi, failure = _advance(eigenvalues, eigenvalues_next, a, a_next)
+        yield u, eigenvalues_next, phi, failure, T
+        eigenvalues = eigenvalues_next
 
 
 def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> CertificateReport:
@@ -546,35 +578,26 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     if not (count_ok and set_ok):
         return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
 
-    # the replay factors each T it builds with LAPACK, independently of the
-    # selection's rank-one updates. T is finite and Hermitian by construction,
-    # so of the public eigh's work only the symmetrization stays: bytes depend on it
+    # T_0 = 0 replays zero steps: the final factorization below still runs on it
     T = np.zeros((F.k, F.k), dtype=np.complex128)
-    eig = lapack_eigh(T)
-    min_margin = math.inf
+    min_margin, min_step, stopped = math.inf, None, None
     details = []
-    for j, step in enumerate(cert.steps, 1):
-        a, a_next = float(expected.values[j - 1]), float(expected.values[j])
-        v = F.vectors[step.index - 1]
+    replay = _replay(F, chosen_order, expected.values)
+    for (j, step), (u, eigenvalues, phi, failure, T) in zip(enumerate(cert.steps, 1), replay):
         if step.j != j:
             details.append(f"step {j}: recorded as step {step.j}")
-        gap = _gap(eig.eigenvalues, a, a_next)
-        u = resolvent_quadratic_form(eig, a_next, v, 2) / gap + resolvent_quadratic_form(eig, a_next, v, 1)
         if abs(u - step.feasibility) > 1e-8 * max(1.0, abs(u)):
             details.append(f"step {j}: recorded U {step.feasibility} != recomputed {u}")
         if u > 1.0 + _FEASIBILITY_SLACK:
             details.append(f"step {j}: U = {u} exceeds 1 + slack")
-        T = outer_product_accumulate(T, v)
-        eig_next = lapack_eigh(0.5 * (T + T.conj().T))
-        phi, failure = _advance(eig, eig_next, a, a_next)
-        eig = eig_next
-        lam = eig.lambda_max
-        min_margin = min(min_margin, a_next - lam)
+        lam = float(eigenvalues[-1])
+        margin = float(expected.values[j]) - lam
+        if margin < min_margin:
+            min_margin, min_step = margin, j
         if phi is None:
             # the norm crossed its barrier: nothing after it can replay, so name it first
             details.insert(0, f"step {j}: {failure}")
-            final_margin = math.nan
-            final_detail = f"replay stopped at step {j} of {n}"
+            stopped = f"replay stopped at step {j} of {n}"
             break
         if abs(lam - step.lambda_max) > 1e-8 * max(1.0, abs(lam)):
             details.append(f"step {j}: recorded lambda_max {step.lambda_max} != recomputed {lam}")
@@ -582,19 +605,26 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
             details.append(f"step {j}: recorded potential {step.potential} != recomputed {phi}")
         if failure is not None:
             details.append(f"step {j}: {failure}")
-    else:
-        final_margin = expected.bound - eig.lambda_max
-        final_detail = f"lambda_max = {eig.lambda_max} < a_n = {expected.bound}"
     steps_ok = not details
     check("steps", steps_ok, "all per-step claims replay" if steps_ok else "; ".join(details[:4]))
 
+    # the replay's one factorization with eigenvectors, for the final spectrum the
+    # report prints; symmetrized as the public eigh would, so those bytes stay its
+    eig = lapack_eigh(0.5 * (T + T.conj().T))
     spec_ok = bool(np.allclose(np.sort(eig.eigenvalues), np.sort(cert.eigenvalues), rtol=0.0, atol=1e-8))
     check("spectrum", spec_ok, "final eigenvalues match" if spec_ok else "final eigenvalues differ")
     bound_ok = abs(cert.bound - float(sched.values[-1])) <= 1e-12 * max(1.0, cert.bound)
     check("bound", bound_ok, f"bound = a_n = {cert.bound}")
-    check("final-norm", final_margin > 0.0, final_detail)
+    if stopped is None:
+        final_margin = expected.bound - eig.lambda_max
+        check("final-norm", final_margin > 0.0, f"lambda_max = {eig.lambda_max} < a_n = {expected.bound}")
+    else:
+        final_margin = math.nan
+        check("final-norm", False, stopped)
 
-    return CertificateReport(checks=tuple(checks), final_margin=final_margin, min_step_margin=min_margin)
+    return CertificateReport(
+        checks=tuple(checks), final_margin=final_margin, min_step_margin=min_margin, min_margin_step=min_step
+    )
 
 
 def eigenvalue_histogram(cert: SelectionCertificate, bins: int = 10) -> tuple[np.ndarray, np.ndarray]:

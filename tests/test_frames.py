@@ -339,6 +339,20 @@ class TestJsonFormats:
         with pytest.raises(FrameError):
             frame_from_dict({"k": 2, "N": 2})
 
+    @pytest.mark.parametrize(
+        "F",
+        [
+            FrameFamily(k=2, N=2, vectors=[[-0.0 + 5e-324j, 1e308 - 2.5e-310j], [0.1 - 0.0j, -1e-300 + 1j]]),
+            FrameFamily(k=3, N=2, vectors=np.zeros((0, 3))),
+        ],
+        ids=["signed-zero-subnormal-huge", "no-vectors"],
+    )
+    def test_frame_writer_bytes_are_json_dumps(self, F, tmp_path):
+        path = tmp_path / "frame.json"
+        save_frame(F, path)
+        want = json.dumps(frame_to_dict(F), allow_nan=False, indent=1) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
     def test_every_writer_uses_one_file_form(self, tmp_path):
         F = harmonic_frame(2, 3)
         cert = select_subset(F, 3)

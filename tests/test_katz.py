@@ -42,6 +42,13 @@ class TestConstruction:
         assert system.point_members(1) == (1, 3)
         assert system.point_members(-1 % system.num_points) == (3, 4)
 
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_masks_match_itertools_combinations(self, N):
+        want = [sum(1 << e for e in combo) for combo in itertools.combinations(range(2 * N), N)]
+        masks = build_katz(N).masks
+        assert masks.dtype == np.uint64 and not masks.flags.writeable
+        assert masks.tolist() == want
+
     def test_functions_sum_to_one_everywhere(self):
         system = build_katz(3)
         values = system.function_sum_values(range(1, 7))

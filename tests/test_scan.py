@@ -1,9 +1,10 @@
-"""The FFT scan of DFT row-subset frames, its detection, the greedy tie band, and the rank-one update.
+"""The FFT scan of DFT row-subset frames, its detection, the greedy tie band, the rank-one update, and the replay.
 
 The subset a run selects must not depend on how U was computed: the FFT and
 the dense scan, and the loop's rank-one eigen-update and a fresh lapack or
 jacobi factorization of T, differ in roundoff only, and the tie band absorbs
-roundoff.
+roundoff. The verify replay recomputes U, Phi and lambda_max from T's
+eigenvalues and one linear solve, and must agree with the eigenvector route.
 """
 
 import dataclasses
@@ -34,7 +35,14 @@ from framesel import (
     verify_certificate,
 )
 from framesel import selector
-from framesel.hermitian import EigenSystem, eigh, outer_product_accumulate, require_hermitian
+from framesel.hermitian import (
+    EigenSystem,
+    eigh,
+    lapack_eigh,
+    outer_product_accumulate,
+    require_hermitian,
+    resolvent_quadratic_form,
+)
 
 # criterion 11's frames and sizes
 N_LIST = [(harmonic_frame(4, N), 2 * N) for N in (25, 100, 400)]
@@ -245,3 +253,62 @@ class TestRankOneUpdate:
             got, want = ([getattr(s, field) for s in cert.steps] for cert in (new, old))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(new.eigenvalues, old.eigenvalues, rtol=0.0, atol=1e-14)
+
+
+class TestReplay:
+    @pytest.mark.parametrize(
+        "F",
+        [harmonic_frame(8, 25), modulated_harmonic_frame(32, 50, seed=7), generic_frames()["haar-rotated"]],
+        ids=["harmonic-8-25", "modulated-32-50", "haar-rotated-4-9"],
+    )
+    def test_replay_matches_the_eigenvector_route_at_every_step(self, F):
+        # the oracle factors every T_j with vectors and takes U through the
+        # eigenbasis, as the replay did before it needed eigenvalues only
+        cert = select_subset(F, F.m - 1)
+        values = cert.schedule.values
+        T = np.zeros((F.k, F.k), dtype=np.complex128)
+        eig = lapack_eigh(T)
+        replay = selector._replay(F, order(cert), values)
+        for j, (u, eigenvalues, phi, failure, _) in enumerate(replay, 1):
+            a, a_next = values[j - 1], values[j]
+            v = F.vectors[cert.steps[j - 1].index - 1]
+            lam = eig.eigenvalues
+            gap = float(((a_next - a) / ((a - lam) * (a_next - lam))).sum())
+            u_want = resolvent_quadratic_form(eig, a_next, v, 2) / gap + resolvent_quadratic_form(eig, a_next, v, 1)
+            T = outer_product_accumulate(T, v)
+            eig = lapack_eigh(0.5 * (T + T.conj().T))
+            phi_want = float((1.0 / (a_next - eig.eigenvalues)).sum())
+            assert failure is None
+            assert u == pytest.approx(u_want, rel=1e-12)
+            assert phi == pytest.approx(phi_want, rel=1e-12)
+            assert eigenvalues[-1] == pytest.approx(eig.lambda_max, rel=1e-12)
+        assert j == cert.n
+
+    def test_one_factorization_with_vectors_per_replay(self, monkeypatch):
+        F = harmonic_frame(2, 25)
+        passing = select_subset(F, 20)
+        # steps 1..20 in index order cross the barrier at step 19
+        crossing = dataclasses.replace(
+            passing,
+            steps=tuple(dataclasses.replace(s, index=j) for j, s in enumerate(passing.steps, 1)),
+            indices=tuple(range(1, 21)),
+        )
+        start = barrier_schedule(F.N, F.m, 0)
+        empty = dataclasses.replace(
+            passing, schedule=start, steps=(), indices=(), eigenvalues=np.zeros(F.k), bound=start.bound
+        )
+        calls = []
+
+        def counted(T):
+            calls.append(1)
+            return lapack_eigh(T)
+
+        def refuse(*args):
+            raise AssertionError("the replay must not call the public eigh")
+
+        monkeypatch.setattr(selector, "lapack_eigh", counted)
+        monkeypatch.setattr(selector, "eigh", refuse)
+        for cert, passed in ((passing, True), (crossing, False), (empty, True)):
+            calls.clear()
+            assert verify_certificate(F, cert).passed is passed
+            assert len(calls) == 1

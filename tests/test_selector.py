@@ -488,6 +488,24 @@ class TestVerification:
         lam_19 = float(np.linalg.eigvalsh(F.rank_one_sum(range(1, 20)))[-1])
         assert report.min_step_margin == pytest.approx(0.675 - lam_19, abs=1e-12)
         assert report.min_step_margin < 0.0
+        assert report.min_margin_step == 19
+
+    @pytest.mark.parametrize(
+        "F, n, tightest",
+        [(harmonic_frame(4, 4), 15, 1), (modulated_harmonic_frame(16, 25, seed=3), 200, 13)],
+        ids=["harmonic-4-4", "modulated-16-25"],
+    )
+    def test_min_margin_step_names_the_tightest_step(self, F, n, tightest):
+        cert = select_subset(F, n)
+        report = verify_certificate(F, cert)
+        assert report.passed
+        order = [s.index for s in cert.steps]
+        margins = [
+            float(cert.schedule.values[j]) - float(np.linalg.eigvalsh(F.rank_one_sum(order[:j]))[-1])
+            for j in range(1, n + 1)
+        ]
+        assert report.min_margin_step == int(np.argmin(margins)) + 1 == tightest
+        assert report.min_step_margin == pytest.approx(min(margins), abs=1e-12)
 
     def test_bad_step_numbers_and_schedule_are_reported(self):
         F = harmonic_frame(2, 4)
@@ -514,6 +532,7 @@ class TestVerification:
             report = verify_certificate(F, certificate_from_dict(data))
             assert [(name, ok) for name, ok, _ in report.checks] == [("compatibility", True), ("schedule", False)]
             assert math.isnan(report.final_margin) and math.isnan(report.min_step_margin)
+            assert report.min_margin_step is None
 
     def test_wrong_frame_is_mismatch(self):
         F = harmonic_frame(2, 4)
