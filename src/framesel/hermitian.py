@@ -94,16 +94,16 @@ def lapack_eigh(T: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def jacobi_eigh(
-    T: np.ndarray,
-    offdiag_rtol: float = 1e-13,
-    max_sweeps: int = 100,
-) -> EigenSystem:
+_JACOBI_OFFDIAG_RTOL = 1e-13  # jacobi_eigh's off-diagonal target, relative to the input's Frobenius norm
+_JACOBI_MAX_SWEEPS = 100      # jacobi_eigh's sweep cap
+
+
+def jacobi_eigh(T: np.ndarray) -> EigenSystem:
     """Cyclic Jacobi eigendecomposition for complex Hermitian matrices.
 
     Sweeps row pairs (p, q) in a fixed order, annihilating A[p, q] with a
     complex Givens rotation, until the off-diagonal Frobenius mass drops
-    below ``offdiag_rtol`` times the Frobenius norm of the input.
+    below ``_JACOBI_OFFDIAG_RTOL`` times the Frobenius norm of the input.
 
     Deterministic: identical input always yields identical output. This is
     the slow reference that tests compare ``lapack_eigh`` against; nothing in
@@ -112,7 +112,7 @@ def jacobi_eigh(
     Raises
     ------
     ConvergenceError
-        If the target is not met within ``max_sweeps`` sweeps.
+        If the target is not met within ``_JACOBI_MAX_SWEEPS`` sweeps.
     """
     A = np.array(T, dtype=np.complex128)
     k = A.shape[0]
@@ -120,7 +120,7 @@ def jacobi_eigh(
     fro = float(np.linalg.norm(A))
     if k == 1 or fro == 0.0:
         return _sorted_system(np.real(np.diag(A)).astype(np.float64), V)
-    target = offdiag_rtol * fro
+    target = _JACOBI_OFFDIAG_RTOL * fro
     # pair-level skip threshold; rotations on tiny entries only churn roundoff
     skip = target / (k * k)
 
@@ -132,7 +132,7 @@ def jacobi_eigh(
         return float(np.linalg.norm(off))
 
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         if offdiag_norm() <= target:
             converged = True
             break
@@ -173,7 +173,7 @@ def jacobi_eigh(
 
     if not converged:
         raise ConvergenceError(
-            f"Jacobi did not reach off-diagonal target {target:.3e} in {max_sweeps} sweeps"
+            f"Jacobi did not reach off-diagonal target {target:.3e} in {_JACOBI_MAX_SWEEPS} sweeps"
         )
     return _sorted_system(np.real(np.diag(A)).astype(np.float64), V)
 

@@ -203,14 +203,15 @@ def barrier_push_check(T: np.ndarray, v: np.ndarray, a: float, a_next: float) ->
 
 @dataclass(frozen=True, eq=False)
 class SelectionState:
-    """Mid-run snapshot, never modified: chosen prefix, unused indices, and the running sum."""
+    """Mid-run snapshot, never modified: the unused indices and the eigensystem of T_j.
+
+    T_j itself is not kept, and the selection order lives in the step records.
+    """
 
     frame: FrameFamily
-    chosen: tuple[int, ...]     # 1-based, in selection order
     remaining: np.ndarray       # (m - j,) int64, 1-based, ascending, read-only; new per step
-    T: np.ndarray               # (k, k) rank-one sum over chosen
-    step: int                   # j = len(chosen)
-    eig: EigenSystem            # factorization of T, carried by rank-one updates
+    step: int                   # j, the number of vectors added so far
+    eig: EigenSystem            # eigensystem of T_j, carried by rank-one updates from T_0 = 0
     dft_bins: np.ndarray | None = None  # (2 k^2,) FFT-scan bins of a DFT row-subset frame; None scans densely
 
 
@@ -294,7 +295,6 @@ def initial_selection_state(F: FrameFamily) -> SelectionState:
     bins index the matrix's float64 view, so its real part goes to 2 s and its
     imaginary part to 2 s + 1, and the sums view back as m complex numbers.
     """
-    T = np.zeros((F.k, F.k), dtype=np.complex128)
     eig = EigenSystem(
         eigenvalues=np.zeros(F.k, dtype=np.float64),
         eigenvectors=np.eye(F.k, dtype=np.complex128),
@@ -306,7 +306,7 @@ def initial_selection_state(F: FrameFamily) -> SelectionState:
     if offsets is not None:
         bins = (2 * ((offsets[None, :] - offsets[:, None]) % F.m)[..., None] + np.arange(2)).ravel()
         bins.setflags(write=False)
-    return SelectionState(frame=F, chosen=(), remaining=remaining, T=T, step=0, eig=eig, dft_bins=bins)
+    return SelectionState(frame=F, remaining=remaining, step=0, eig=eig, dft_bins=bins)
 
 
 def _scan(state: SelectionState, schedule: BarrierSchedule) -> tuple:
@@ -369,8 +369,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
 
     index = int(state.remaining[pos])
     tie_count = int(np.count_nonzero(inside))
-    v = state.frame.vectors[index - 1]
-    eig_next = _rank_one_update(eig, v)
+    eig_next = _rank_one_update(eig, state.frame.vectors[index - 1])
     phi_next, failure = _advance(eig.eigenvalues, eig_next.eigenvalues, a, a_next)
     if failure is not None:
         raise ToleranceBreachError(f"step {j + 1}: {failure}")
@@ -389,13 +388,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
     remaining = np.delete(state.remaining, pos)
     remaining.setflags(write=False)
     next_state = SelectionState(
-        frame=state.frame,
-        chosen=state.chosen + (index,),
-        remaining=remaining,
-        T=outer_product_accumulate(state.T, v),
-        step=j + 1,
-        eig=eig_next,
-        dft_bins=state.dft_bins,
+        frame=state.frame, remaining=remaining, step=j + 1, eig=eig_next, dft_bins=state.dft_bins
     )
     return next_state, record
 
@@ -426,7 +419,7 @@ def select_prefixes(F: FrameFamily, ns: Iterable[int]) -> Iterator[SelectionCert
         yield SelectionCertificate(
             schedule=schedule,
             steps=tuple(steps),
-            indices=tuple(sorted(state.chosen)),
+            indices=tuple(sorted(s.index for s in steps)),
             eigenvalues=state.eig.eigenvalues.copy(),
             bound=schedule.bound,
             norm_deviation=report.norm_deviation,

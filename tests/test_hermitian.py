@@ -20,6 +20,7 @@ from framesel import (
     resolvent_rank_one_downdate,
     sherman_morrison_resolvent_update,
 )
+from framesel import hermitian
 
 from oracles import (
     determinant_cofactor,
@@ -144,11 +145,12 @@ class TestEigensolvers:
         eig = jacobi_eigh(np.zeros((4, 4), dtype=np.complex128))
         assert np.allclose(eig.eigenvalues, 0.0)
 
-    def test_jacobi_sweep_cap_raises(self):
+    def test_jacobi_sweep_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(12)
         T = random_hermitian(rng, 8)
+        monkeypatch.setattr(hermitian, "_JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError):
-            jacobi_eigh(T, max_sweeps=1)
+            jacobi_eigh(T)
 
     def test_eigensystem_properties(self):
         eig = EigenSystem(

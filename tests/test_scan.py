@@ -211,13 +211,35 @@ class TestRankOneUpdate:
         n = F.m - 1
         sched = barrier_schedule(F.N, F.m, n)
         state = initial_selection_state(F)
+        T = np.zeros((F.k, F.k), dtype=np.complex128)  # the oracle T_j, rebuilt from the step records
         eye = np.eye(F.k)
         for _ in range(n):
-            state, _ = selection_step(state, sched)
+            state, record = selection_step(state, sched)
+            T = outer_product_accumulate(T, F.vectors[record.index - 1])
             E = state.eig.eigenvectors
-            assert np.abs(state.eig.eigenvalues - eigh(state.T).eigenvalues).max() <= 1e-12
+            assert np.abs(state.eig.eigenvalues - eigh(T).eigenvalues).max() <= 1e-12
             assert np.linalg.norm(E.conj().T @ E - eye, 2) <= 1e-12
-            assert np.linalg.norm(state.eig.reconstruct() - state.T, 2) <= 1e-12
+            assert np.linalg.norm(state.eig.reconstruct() - T, 2) <= 1e-12
+
+    def test_loop_builds_no_running_sum(self, monkeypatch):
+        # the loop carries T_j's eigensystem only; the verify replay alone rebuilds T_j
+        calls = []
+
+        def counted(T, v):
+            calls.append(1)
+            return outer_product_accumulate(T, v)
+
+        monkeypatch.setattr(selector, "outer_product_accumulate", counted)
+        F = harmonic_frame(8, 25)
+        ns = range(1, F.m)
+        assert [cert.n for cert in select_prefixes(F, ns)] == list(ns)  # the FFT scan
+        assert calls == []
+        F = generic_frames()["haar-rotated"]
+        assert initial_selection_state(F).dft_bins is None  # the dense scan
+        cert = select_subset(F, F.m - 1)
+        assert calls == []
+        assert verify_certificate(F, cert).passed
+        assert len(calls) == cert.n
 
     @pytest.mark.parametrize("v", [[1, 0, 0, 0], [0, 0, 0.6 * np.exp(0.3j), 0]], ids=["e1", "phase"])
     def test_zero_components_deflate(self, v):

@@ -26,6 +26,7 @@ from framesel import (
     initial_selection_state,
     load_certificate,
     modulated_harmonic_frame,
+    outer_product_accumulate,
     save_certificate,
     select_prefixes,
     select_subset,
@@ -255,9 +256,12 @@ class TestSelection:
         F = harmonic_frame(3, 5)
         state = initial_selection_state(F)
         sched = barrier_schedule(F.N, F.m, 10)
+        T = np.zeros((F.k, F.k), dtype=np.complex128)  # T_j, rebuilt from the step records
         for j in range(10):
-            assert float(np.real(np.trace(state.T))) == pytest.approx(j / F.N, abs=1e-9)
-            state, _ = selection_step(state, sched)
+            assert float(np.real(np.trace(T))) == pytest.approx(j / F.N, abs=1e-9)
+            assert float(state.eig.eigenvalues.sum()) == pytest.approx(j / F.N, abs=1e-9)
+            state, record = selection_step(state, sched)
+            T = outer_product_accumulate(T, F.vectors[record.index - 1])
 
     def test_rejects_out_of_range_n(self):
         F = harmonic_frame(2, 3)
@@ -305,11 +309,13 @@ class TestSelection:
         n = F.m - 1
         sched = barrier_schedule(F.N, F.m, n)
         state = initial_selection_state(F)
+        T = np.zeros((F.k, F.k), dtype=np.complex128)  # T_j, rebuilt from the step records
         for j in range(n):
-            T = state.T
             state, record = selection_step(state, sched)
-            u = feasibility_value(T, F.vectors[record.index - 1], sched.values[j], sched.values[j + 1])
+            v = F.vectors[record.index - 1]
+            u = feasibility_value(T, v, sched.values[j], sched.values[j + 1])
             assert record.feasibility == pytest.approx(u, rel=1e-12, abs=0.0)
+            T = outer_product_accumulate(T, v)
 
     def test_remaining_is_a_fresh_read_only_array_per_step(self):
         F = harmonic_frame(2, 4)
