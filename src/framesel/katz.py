@@ -32,6 +32,7 @@ from .frames import _write_json
 
 _BUILD_CAP = 200_000       # largest |X| = C(2N, N) that build_katz enumerates
 _EXHAUSTIVE_MAX_N = 6      # auto mode walks all 2^(2N) subsets up to this N
+_BLOCK_BYTES = 1 << 18     # dichotomy_check's AND buffer per block of subsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +63,26 @@ class KatzSystem:
     def intersection_counts(self, indices) -> np.ndarray:
         """|A intersect S| for every point A, as exact integers."""
         s_mask = _index_mask(self, indices)
-        return np.bitwise_count(self.masks & np.uint64(s_mask)).astype(np.int64)
+        masks = _narrowed_masks(self)
+        np.bitwise_and(masks, s_mask, out=masks)
+        return np.bitwise_count(masks).astype(np.int64)
 
     def function_sum_values(self, indices) -> list[Fraction]:
         """g_S over all points, in point order, as exact fractions."""
         return [Fraction(int(c), self.N) for c in self.intersection_counts(indices)]
+
+
+def _narrowed_masks(system: KatzSystem) -> np.ndarray:
+    """A private, writable copy of the masks in the narrowest word that holds 2N bits.
+
+    uint32 when 2N <= 32, uint64 otherwise. Bits at or above 2N are cleared
+    in place, so a hand-built system's stray high bits never count and no
+    uint64 temporary is made.
+    """
+    g = system.ground_size
+    masks = system.masks.astype(np.uint32 if g <= 32 else np.uint64)
+    np.bitwise_and(masks, (1 << min(g, 64)) - 1, out=masks)
+    return masks
 
 
 def _members(mask: int, size: int) -> tuple[int, ...]:
@@ -179,9 +195,14 @@ def dichotomy_check(
 
     Exhaustive mode walks all 2^(2N) subsets (auto mode picks it for N up
     to ``_EXHAUSTIVE_MAX_N``); sampled mode draws ``trials`` uniform random
-    subsets from a seeded generator. Both routes compare the enumerated
-    range against the closed form and record any subset that is confined
-    strictly inside (0, 1).
+    subsets from a seeded generator. Either way every subset meets every
+    point: the subsets go in blocks through ``_count_extremes``, which
+    keeps, per subset, the least and the largest |A intersect S| over all
+    points A. Exhaustive mode makes each block's subsets with ``np.arange``
+    and never holds all 2^(2N) of them. The per-subset extremes are then
+    compared with the closed form in one vectorized pass, and the first 32
+    subsets that are confined strictly inside (0, 1), or off the closed
+    form, are recorded by their members in subset order.
     """
     if mode == "auto":
         mode = "exhaustive" if system.N <= _EXHAUSTIVE_MAX_N else "sampled"
@@ -191,47 +212,64 @@ def dichotomy_check(
         raise ValueError(f"trials must be positive, got {trials}")
 
     g = system.ground_size
+    masks = _narrowed_masks(system)
     if mode == "exhaustive":
-        s_masks = range(1 << g)
+        count = 1 << g
+
+        def subsets(start: int, stop: int) -> np.ndarray:
+            return np.arange(start, stop, dtype=masks.dtype)
     else:
         rng = np.random.default_rng(seed)
-        s_masks = [int(x) for x in rng.integers(0, 1 << g, size=trials, dtype=np.uint64)]
+        draws = rng.integers(0, 1 << g, size=trials, dtype=np.uint64).astype(masks.dtype, copy=False)
+        count = trials
 
-    min_pinned = 0
-    max_pinned = 0
-    both = 0
-    violations: list[tuple[int, ...]] = []
-    mismatches: list[tuple[int, ...]] = []
-    for s_mask in s_masks:
-        counts = np.bitwise_count(system.masks & np.uint64(s_mask))
-        lo = int(counts.min())
-        hi = int(counts.max())
-        size = int(s_mask).bit_count()
-        lo_expect = max(0, size - system.N)
-        hi_expect = min(size, system.N)
-        if (lo, hi) != (lo_expect, hi_expect):
-            mismatches.append(_members(s_mask, g))
-        at_zero = lo == 0
-        at_one = hi == system.N
-        if at_zero:
-            min_pinned += 1
-        if at_one:
-            max_pinned += 1
-        if at_zero and at_one:
-            both += 1
-        if not at_zero and not at_one:
-            violations.append(_members(s_mask, g))
+        def subsets(start: int, stop: int) -> np.ndarray:
+            return draws[start:stop]
+
+    lo, hi, size = _count_extremes(masks, subsets, count)
+    at_zero = lo == 0
+    at_one = hi == system.N
+    hi_expect = np.minimum(size, system.N)
+    mismatched = (hi != hi_expect) | (lo != size - hi_expect)  # lo_expect = |S| - min(|S|, N)
+
+    def first_members(flags: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        return tuple(_members(int(subsets(i, i + 1)[0]), g) for i in np.flatnonzero(flags)[:32])
 
     return DichotomyReport(
         N=system.N,
         mode=mode,
-        subsets_checked=len(s_masks),
-        min_pinned=min_pinned,
-        max_pinned=max_pinned,
-        both_pinned=both,
-        violations=tuple(violations[:32]),
-        closed_form_mismatches=tuple(mismatches[:32]),
+        subsets_checked=count,
+        min_pinned=int(np.count_nonzero(at_zero)),
+        max_pinned=int(np.count_nonzero(at_one)),
+        both_pinned=int(np.count_nonzero(at_zero & at_one)),
+        violations=first_members(~(at_zero | at_one)),
+        closed_form_mismatches=first_members(mismatched),
     )
+
+
+def _count_extremes(masks: np.ndarray, subsets, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per subset: min and max over the points of |A intersect S|, and |S|, as uint8.
+
+    ``subsets(start, stop)`` gives subsets start..stop - 1 as masks of
+    ``masks.dtype``. They are taken in blocks whose AND with every point
+    fills about ``_BLOCK_BYTES``, and each block goes through the same
+    preallocated buffers: AND, popcount, then a row-wise min and max.
+    """
+    rows = max(1, _BLOCK_BYTES // max(1, masks.nbytes))
+    buf = np.empty((rows, masks.size), dtype=masks.dtype)
+    cnt = np.empty((rows, masks.size), dtype=np.uint8)
+    lo = np.empty(count, dtype=np.uint8)
+    hi = np.empty(count, dtype=np.uint8)
+    size = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, rows):
+        block = subsets(start, min(start + rows, count))
+        n = block.size
+        np.bitwise_and(masks, block[:, None], out=buf[:n])
+        np.bitwise_count(buf[:n], out=cnt[:n])
+        cnt[:n].min(axis=1, out=lo[start:start + n])
+        cnt[:n].max(axis=1, out=hi[start:start + n])
+        np.bitwise_count(block, out=size[start:start + n])
+    return lo, hi, size
 
 
 def save_dichotomy_report(report: DichotomyReport, path) -> None:

@@ -3,8 +3,9 @@
 Everything here is deliberately written along a different route from the
 package code: inverses come from hand-rolled Gauss-Jordan elimination,
 eigenvalues from characteristic-polynomial roots, determinants from cofactor
-expansion, and subset optima from exhaustive enumeration. Slow and simple on
-purpose; tests compare the fast paths against these.
+expansion, subset optima from exhaustive enumeration, and set-system ranges
+from Python sets instead of bitmasks. Slow and simple on purpose; tests
+compare the fast paths against these.
 """
 
 from __future__ import annotations
@@ -118,3 +119,33 @@ def random_psd(rng: np.random.Generator, k: int, scale: float = 1.0) -> np.ndarr
 def random_unit(rng: np.random.Generator, k: int) -> np.ndarray:
     v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     return v / np.linalg.norm(v)
+
+
+def dichotomy_by_sets(N: int, points, subsets) -> dict:
+    """The katz dichotomy tallies, one Python-set intersection at a time.
+
+    ``points`` are the point sets A and ``subsets`` the subsets S, in the
+    order to check them, both as collections of 1-based ground elements.
+    Each S's range is min and max of len(A & S) over the points, held against
+    the closed form max(0, |S| - N) .. min(|S|, N). The result has the
+    fields of ``DichotomyReport`` that depend on the subsets, with the first
+    32 confined and off-formula subsets as sorted member tuples.
+    """
+    points = [set(A) for A in points]
+    tally = {"subsets_checked": 0, "min_pinned": 0, "max_pinned": 0, "both_pinned": 0,
+             "violations": [], "closed_form_mismatches": []}
+    for S in subsets:
+        S = set(S)
+        counts = [len(A & S) for A in points]
+        lo, hi = min(counts), max(counts)
+        tally["subsets_checked"] += 1
+        tally["min_pinned"] += lo == 0
+        tally["max_pinned"] += hi == N
+        tally["both_pinned"] += lo == 0 and hi == N
+        if lo != 0 and hi != N:
+            tally["violations"].append(tuple(sorted(S)))
+        if (lo, hi) != (max(0, len(S) - N), min(len(S), N)):
+            tally["closed_form_mismatches"].append(tuple(sorted(S)))
+    tally["violations"] = tuple(tally["violations"][:32])
+    tally["closed_form_mismatches"] = tuple(tally["closed_form_mismatches"][:32])
+    return tally

@@ -3,7 +3,9 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,11 @@ from framesel import (
     save_dichotomy_report,
     subset_sum_range,
 )
+from framesel import katz
+from framesel.cli import main
+from oracles import dichotomy_by_sets
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def brute_range(N, members):
@@ -23,6 +30,37 @@ def brute_range(N, members):
     ground = range(1, 2 * N + 1)
     counts = [len(set(A) & set(members)) for A in itertools.combinations(ground, N)]
     return Fraction(min(counts), N), Fraction(max(counts), N)
+
+
+def ground_set(mask, size):
+    """1-based elements of the lowest ``size`` bits of ``mask``, read off its binary digits."""
+    digits = format(int(mask) & ((1 << size) - 1), f"0{size}b")
+    return {size - pos for pos, digit in enumerate(digits) if digit == "1"}
+
+
+def system_of(N, masks):
+    masks = np.array(masks, dtype=np.uint64)
+    masks.setflags(write=False)
+    return KatzSystem(N=N, masks=masks)
+
+
+def tally(report):
+    """The fields ``dichotomy_by_sets`` computes, read off a report."""
+    return {name: getattr(report, name) for name in (
+        "subsets_checked", "min_pinned", "max_pinned", "both_pinned", "violations", "closed_form_mismatches",
+    )}
+
+
+def drawn_subsets(N, trials, seed):
+    """The subsets sampled mode checks: its documented uniform draw, decoded to sets."""
+    draws = np.random.default_rng(seed).integers(0, 1 << 2 * N, size=trials, dtype=np.uint64)
+    return [ground_set(s, 2 * N) for s in draws]
+
+
+def stray_bit_system():
+    """build_katz(3)'s points, with bits above the ground set switched on."""
+    stray = np.uint64(0b1011 << 6) | np.uint64(1 << 63)
+    return system_of(3, build_katz(3).masks | stray)
 
 
 class TestConstruction:
@@ -92,6 +130,13 @@ class TestSubsetSums:
         system = build_katz(3)
         for members in [(1,), (2, 5), (1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5, 6), tuple(range(1, 7))]:
             assert subset_sum_range(system, members) == brute_range(3, members)
+
+    def test_stray_high_bits_do_not_count(self):
+        system = stray_bit_system()
+        for members in [(1,), (2, 5), (1, 2, 3), (2, 3, 4, 5, 6), tuple(range(1, 7))]:
+            assert subset_sum_range(system, members) == brute_range(3, members)
+            assert system.intersection_counts(members).tolist() == \
+                build_katz(3).intersection_counts(members).tolist()
 
     def test_results_are_exact_fractions(self):
         lo, hi = subset_sum_range(build_katz(4), (1, 2, 3))
@@ -185,3 +230,91 @@ class TestDichotomy:
         assert data["passed"] is True
         assert data["violations"] == []
         assert "confined" in data["note"]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name,argv", [
+        ("katz-N6-exhaustive.json", ["--N", 6]),
+        ("katz-N8-sampled-trials500-seed3.json", ["--N", 8, "--sampled", "--trials", 500, "--seed", 3]),
+        ("katz-N10-sampled-trials4000-seed1.json", ["--N", 10, "--sampled", "--trials", 4000, "--seed", 1]),
+        ("katz-N10-sampled-trials4000-seed2.json", ["--N", 10, "--sampled", "--trials", 4000, "--seed", 2]),
+    ])
+    def test_cli_reproduces_report_bytes(self, name, argv, tmp_path):
+        out = tmp_path / name
+        assert main(["katz", *map(str, argv), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+class TestDichotomyAgainstSets:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_exhaustive(self, N):
+        points = itertools.combinations(range(1, 2 * N + 1), N)
+        subsets = [ground_set(s, 2 * N) for s in range(1 << 2 * N)]
+        report = dichotomy_check(build_katz(N), mode="exhaustive")
+        assert tally(report) == dichotomy_by_sets(N, points, subsets)
+
+    def test_doctored_two_point_system(self):
+        system = system_of(2, [0b0011, 0b1100])
+        report = dichotomy_check(system, mode="exhaustive")
+        want = dichotomy_by_sets(2, [{1, 2}, {3, 4}], [ground_set(s, 4) for s in range(16)])
+        assert tally(report) == want
+        assert not report.passed
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_stray_high_bits_are_ignored(self, mode):
+        system = stray_bit_system()
+        points = [ground_set(m, 6) for m in build_katz(3).masks]
+        subsets = [ground_set(s, 6) for s in range(64)] if mode == "exhaustive" else drawn_subsets(3, 300, 4)
+        report = dichotomy_check(system, mode=mode, trials=300, seed=4)
+        assert tally(report) == dichotomy_by_sets(3, points, subsets)
+        assert report == dichotomy_check(build_katz(3), mode=mode, trials=300, seed=4)
+
+    def test_sampled_masks_wider_than_32_bits(self):
+        # N = 17: the ground set has 34 elements, and points use elements 33 and 34
+        N, rng = 17, np.random.default_rng(11)
+        masks = [sum(1 << int(e) for e in rng.choice(2 * N, N, replace=False)) for _ in range(120)]
+        masks += [(0b11 << 32) | ((1 << 15) - 1), (1 << 33) | ((1 << 16) - 1)]
+        system = system_of(N, masks)
+        assert katz._narrowed_masks(system).dtype == np.uint64
+        report = dichotomy_check(system, mode="sampled", trials=400, seed=9)
+        want = dichotomy_by_sets(N, [ground_set(m, 2 * N) for m in masks], drawn_subsets(N, 400, 9))
+        assert tally(report) == want
+        assert report.violations and report.closed_form_mismatches
+
+    def test_katz_masks_narrow_to_32_bits(self):
+        assert katz._narrowed_masks(build_katz(10)).dtype == np.uint32
+
+
+class TestInputsAreNotMutated:
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("make", [lambda: build_katz(4), stray_bit_system])
+    def test_masks_stay_the_same_read_only_array(self, make, mode):
+        system = make()
+        masks = system.masks
+        before = masks.copy()
+        dichotomy_check(system, mode=mode, trials=200)
+        system.intersection_counts((1, 3, 5))
+        assert system.masks is masks
+        assert masks.dtype == np.uint64 and not masks.flags.writeable
+        assert np.array_equal(masks, before)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_sampled_peak(self):
+        # 2.48 MiB is the peak of a loop that makes a fresh uint64 masks & S per subset
+        system = build_katz(10)
+        assert traced_peak(lambda: dichotomy_check(system, mode="sampled", trials=64)) <= 2.48 * 2**20
+
+    def test_exhaustive_does_not_hold_every_subset(self):
+        # all 2^16 subsets at once, with their AND and popcount rows, take about 3.7 MB
+        system = build_katz(8)
+        assert traced_peak(lambda: dichotomy_check(system, mode="exhaustive")) <= 2**20
