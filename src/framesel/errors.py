@@ -9,10 +9,6 @@ class BarrierError(ValueError):
     """A resolvent was requested at or below the top eigenvalue."""
 
 
-class ConvergenceError(RuntimeError):
-    """The Jacobi sweep cap was reached before the off-diagonal target."""
-
-
 class ToleranceBreachError(RuntimeError):
     """A certified inequality failed numerically; margins in the message."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BarrierError, ConvergenceError
+from .errors import BarrierError
 
 _HERMITIAN_ATOL = 1e-12  # largest conjugate-symmetry defect eigh accepts, absolute
 
@@ -76,115 +76,15 @@ class EigenSystem:
         return (U * self.eigenvalues) @ U.conj().T
 
 
-def _sorted_system(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> EigenSystem:
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenSystem(
-        eigenvalues=np.ascontiguousarray(eigenvalues[order], dtype=np.float64),
-        eigenvectors=np.ascontiguousarray(eigenvectors[:, order], dtype=np.complex128),
-    )
-
-
-def lapack_eigh(T: np.ndarray) -> EigenSystem:
-    """Eigendecomposition via LAPACK (``numpy.linalg.eigh``).
-
-    LAPACK already returns ascending eigenvalues and C-contiguous eigenvector
-    columns, so its output is the system as it stands.
-    """
-    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(T, dtype=np.complex128))
-    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-_JACOBI_OFFDIAG_RTOL = 1e-13  # jacobi_eigh's off-diagonal target, relative to the input's Frobenius norm
-_JACOBI_MAX_SWEEPS = 100      # jacobi_eigh's sweep cap
-
-
-def jacobi_eigh(T: np.ndarray) -> EigenSystem:
-    """Cyclic Jacobi eigendecomposition for complex Hermitian matrices.
-
-    Sweeps row pairs (p, q) in a fixed order, annihilating A[p, q] with a
-    complex Givens rotation, until the off-diagonal Frobenius mass drops
-    below ``_JACOBI_OFFDIAG_RTOL`` times the Frobenius norm of the input.
-
-    Deterministic: identical input always yields identical output. This is
-    the slow reference that tests compare ``lapack_eigh`` against; nothing in
-    the package calls it.
-
-    Raises
-    ------
-    ConvergenceError
-        If the target is not met within ``_JACOBI_MAX_SWEEPS`` sweeps.
-    """
-    A = np.array(T, dtype=np.complex128)
-    k = A.shape[0]
-    V = np.eye(k, dtype=np.complex128)
-    fro = float(np.linalg.norm(A))
-    if k == 1 or fro == 0.0:
-        return _sorted_system(np.real(np.diag(A)).astype(np.float64), V)
-    target = _JACOBI_OFFDIAG_RTOL * fro
-    # pair-level skip threshold; rotations on tiny entries only churn roundoff
-    skip = target / (k * k)
-
-    def offdiag_norm() -> float:
-        # summed directly over off-diagonal entries; subtracting squared
-        # norms would lose the target under cancellation noise
-        off = A.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if offdiag_norm() <= target:
-            converged = True
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = A[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                app = A[p, p].real
-                aqq = A[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary block [[c, s], [-s e^{-ip}, c e^{-ip}]] zeroes A[p, q]
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - (s * np.conj(phase)) * col_q
-                A[:, q] = s * col_p + (c * np.conj(phase)) * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - (s * phase) * row_q
-                A[q, :] = s * row_p + (c * phase) * row_q
-                A[p, p] = app - t * r
-                A[q, q] = aqq + t * r
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - (s * np.conj(phase)) * vec_q
-                V[:, q] = s * vec_p + (c * np.conj(phase)) * vec_q
-    else:
-        converged = offdiag_norm() <= target
-
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi did not reach off-diagonal target {target:.3e} in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-    return _sorted_system(np.real(np.diag(A)).astype(np.float64), V)
-
-
 def eigh(T: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix by LAPACK.
 
     The input must be finite and Hermitian within ``_HERMITIAN_ATOL``, or
-    ValueError is raised; it is symmetrized before factorization.
+    ValueError is raised; it is symmetrized before factorization. LAPACK's
+    ascending eigenvalues and C-contiguous eigenvectors are kept as they stand.
     """
-    return lapack_eigh(require_hermitian(T))
+    eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(T))
+    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def resolvent_quadratic_form(eig: EigenSystem, a: float, v: np.ndarray, power: int) -> float:

@@ -45,7 +45,7 @@ from .errors import (
     ToleranceBreachError,
 )
 from .frames import _RESCALE_LIMIT, FrameFamily, _integer, _number, _read_json, _write_json, validate_frame
-from .hermitian import EigenSystem, eigh, lapack_eigh, outer_product_accumulate
+from .hermitian import EigenSystem, eigh, outer_product_accumulate
 from .hermitian import resolvent_quadratic_form  # noqa: F401  a perfbench/spans.py patch target
 
 
@@ -90,7 +90,7 @@ def barrier_schedule(N: int, m: int, n: int) -> BarrierSchedule:
 
 # Half-width of the greedy rule's tie band, relative to max(1, u*). The same U
 # differs by about 1e-15 between the FFT and the dense scan and by up to 1e-13
-# between lapack_eigh and jacobi_eigh, so roundoff never reaches the band
+# between eigh and the tests' Jacobi oracle, so roundoff never reaches the band
 # edge. On harmonic frames the U that are not tied sit 2e-7 or more above u*;
 # seeded modulated frames have true gaps of any size, and SelectionStep.band_gap
 # records how close each decision came. The band is ten times narrower than
@@ -512,6 +512,9 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterato
     <(a_j I - T)^{-2} v, v> = ||x||^2 and <(a_j I - T)^{-1} v, v> = Re <v, x>.
     The spectra come from LAPACK without eigenvectors, on the symmetrized T_j;
     none of this goes through the selection's rank-one update.
+
+    Under ``verify_certificate``'s errstate a T_j that overflows ends the replay:
+    its step yields an infinite spectrum, no Phi, and T_{j-1}, the last finite sum.
     """
     k = F.k
     T = np.zeros((k, k), dtype=np.complex128)
@@ -524,8 +527,13 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterato
         shifted.flat[:: k + 1] += a_next  # a_j I - T_{j-1}
         x = np.linalg.solve(shifted, v)
         u = float(np.vdot(x, x).real) / gap + float(np.vdot(v, x).real)
-        T = outer_product_accumulate(T, v)
-        eigenvalues_next = np.linalg.eigvalsh(0.5 * (T + T.conj().T))
+        try:
+            T_next = outer_product_accumulate(T, v)
+            eigenvalues_next = np.linalg.eigvalsh(0.5 * (T_next + T_next.conj().T))
+        except FloatingPointError as exc:
+            yield u, np.full(k, np.inf), None, f"T_{j} is not finite ({exc})", T
+            return
+        T = T_next
         phi, failure = _advance(eigenvalues, eigenvalues_next, a, a_next)
         yield u, eigenvalues_next, phi, failure, T
         eigenvalues = eigenvalues_next
@@ -538,8 +546,8 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     schedule: feasibility of each recorded U, the strict norm bound at every
     step, potential monotonicity from the exact start k sqrt(N), agreement of
     the recorded numbers with recomputed ones, and the final set, spectrum,
-    and bound. A step whose norm reaches its barrier ends the replay; the
-    report then fails and names that step instead of raising.
+    and bound. A step whose norm reaches its barrier or whose T_j overflows
+    ends the replay; the report then fails and names it instead of raising.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -576,34 +584,35 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     min_margin, min_step, stopped = math.inf, None, None
     details = []
     replay = _replay(F, chosen_order, expected.values)
-    for (j, step), (u, eigenvalues, phi, failure, T) in zip(enumerate(cert.steps, 1), replay):
-        if step.j != j:
-            details.append(f"step {j}: recorded as step {step.j}")
-        if abs(u - step.feasibility) > 1e-8 * max(1.0, abs(u)):
-            details.append(f"step {j}: recorded U {step.feasibility} != recomputed {u}")
-        if u > 1.0 + _FEASIBILITY_SLACK:
-            details.append(f"step {j}: U = {u} exceeds 1 + slack")
-        lam = float(eigenvalues[-1])
-        margin = float(expected.values[j]) - lam
-        if margin < min_margin:
-            min_margin, min_step = margin, j
-        if phi is None:
-            # the norm crossed its barrier: nothing after it can replay, so name it first
-            details.insert(0, f"step {j}: {failure}")
-            stopped = f"replay stopped at step {j} of {n}"
-            break
-        if abs(lam - step.lambda_max) > 1e-8 * max(1.0, abs(lam)):
-            details.append(f"step {j}: recorded lambda_max {step.lambda_max} != recomputed {lam}")
-        if abs(phi - step.potential) > 1e-8 * max(1.0, abs(phi)):
-            details.append(f"step {j}: recorded potential {step.potential} != recomputed {phi}")
-        if failure is not None:
-            details.append(f"step {j}: {failure}")
+    # numpy raises on overflow and NaN, also in the generator the loop resumes; _replay stops there
+    with np.errstate(over="raise", invalid="raise"):
+        for (j, step), (u, eigenvalues, phi, failure, T) in zip(enumerate(cert.steps, 1), replay):
+            if step.j != j:
+                details.append(f"step {j}: recorded as step {step.j}")
+            if abs(u - step.feasibility) > 1e-8 * max(1.0, abs(u)):
+                details.append(f"step {j}: recorded U {step.feasibility} != recomputed {u}")
+            if u > 1.0 + _FEASIBILITY_SLACK:
+                details.append(f"step {j}: U = {u} exceeds 1 + slack")
+            lam = float(eigenvalues[-1])
+            margin = float(expected.values[j]) - lam
+            if margin < min_margin:
+                min_margin, min_step = margin, j
+            if phi is None:
+                # the norm crossed its barrier or T_j overflowed: nothing after it can replay, so name it first
+                details.insert(0, f"step {j}: {failure}")
+                stopped = f"replay stopped at step {j} of {n}"
+                break
+            if abs(lam - step.lambda_max) > 1e-8 * max(1.0, abs(lam)):
+                details.append(f"step {j}: recorded lambda_max {step.lambda_max} != recomputed {lam}")
+            if abs(phi - step.potential) > 1e-8 * max(1.0, abs(phi)):
+                details.append(f"step {j}: recorded potential {step.potential} != recomputed {phi}")
+            if failure is not None:
+                details.append(f"step {j}: {failure}")
     steps_ok = not details
     check("steps", steps_ok, "all per-step claims replay" if steps_ok else "; ".join(details[:4]))
 
-    # the replay's one factorization with eigenvectors, for the final spectrum the
-    # report prints; symmetrized as the public eigh would, so those bytes stay its
-    eig = lapack_eigh(0.5 * (T + T.conj().T))
+    # the replay's one factorization with eigenvectors, for the final spectrum the report prints
+    eig = eigh(T)
     spec_ok = bool(np.allclose(np.sort(eig.eigenvalues), np.sort(cert.eigenvalues), rtol=0.0, atol=1e-8))
     check("spectrum", spec_ok, "final eigenvalues match" if spec_ok else "final eigenvalues differ")
     bound_ok = abs(cert.bound - float(sched.values[-1])) <= 1e-12 * max(1.0, cert.bound)

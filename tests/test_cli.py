@@ -6,7 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from framesel import complement_lower_bound, load_certificate, load_frame, selector, verify_certificate
+from framesel import (
+    FrameFamily,
+    complement_lower_bound,
+    harmonic_frame,
+    load_certificate,
+    load_frame,
+    save_certificate,
+    save_frame,
+    select_subset,
+    selector,
+    verify_certificate,
+)
 from framesel.cli import CSV_COLUMNS, main
 
 
@@ -320,6 +331,19 @@ class TestVerify:
         assert captured.out.endswith("certificate REJECTED\n")
         assert "FAIL steps: step 19: norm bound breached" in captured.out
         assert captured.err == ""
+
+    def test_overflowing_frame_is_rejected_with_a_report(self, tmp_path, capsys):
+        F = harmonic_frame(4, 9)
+        frame, cert = tmp_path / "frame.json", tmp_path / "cert.json"
+        save_frame(FrameFamily(k=F.k, N=F.N, vectors=F.vectors * 1e200), frame)
+        save_certificate(select_subset(F, 10), cert)
+        assert run("verify", "--frame", frame, "--cert", cert) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("certificate REJECTED\n")
+        assert "FAIL steps: step 1: T_1 is not finite" in captured.out
+        assert "FAIL final-norm: replay stopped at step 1 of 10" in captured.out
+        assert "smallest per-step margin      = -inf" in captured.out
+        assert "error:" not in captured.out + captured.err
 
     def test_malformed_schedule_is_rejected_with_a_report(self, frame_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"

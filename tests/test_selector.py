@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -495,6 +496,49 @@ class TestVerification:
         assert report.min_step_margin == pytest.approx(0.675 - lam_19, abs=1e-12)
         assert report.min_step_margin < 0.0
         assert report.min_margin_step == 19
+
+    @pytest.mark.parametrize("scale", [1e200, 1e160])
+    def test_overflowing_replay_is_reported_not_raised(self, scale):
+        # every T_1 = v (x) v of the scaled frame overflows; the replay must stop
+        # at step 1, warn nothing, count its margin as -inf, and factor T_0 for
+        # the final spectrum
+        F = harmonic_frame(4, 9)
+        cert = select_subset(F, 10)
+        G = FrameFamily(k=F.k, N=F.N, vectors=F.vectors * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_certificate(G, cert)
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert not report.passed
+        assert not checks["steps"][0]
+        assert checks["steps"][1].startswith("step 1: T_1 is not finite")
+        assert checks["spectrum"] == (False, "final eigenvalues differ")
+        assert checks["final-norm"] == (False, "replay stopped at step 1 of 10")
+        assert math.isnan(report.final_margin)
+        assert report.min_step_margin == -math.inf
+        assert report.min_margin_step == 1
+
+    def test_overflow_at_a_later_step_keeps_the_last_finite_sum(self, monkeypatch):
+        F = harmonic_frame(4, 9)
+        cert = select_subset(F, 10)
+        order = [s.index for s in cert.steps]
+        vectors = F.vectors.copy()
+        vectors[order[2] - 1] *= 1e200
+        factored = []
+
+        def recorded(T):
+            factored.append(T)
+            return eigh(T)
+
+        monkeypatch.setattr(selector, "eigh", recorded)
+        report = verify_certificate(FrameFamily(k=F.k, N=F.N, vectors=vectors), cert)
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert checks["steps"][1].startswith("step 3: T_3 is not finite")
+        assert checks["final-norm"] == (False, "replay stopped at step 3 of 10")
+        assert report.min_step_margin == -math.inf
+        assert report.min_margin_step == 3
+        [T] = factored
+        np.testing.assert_allclose(T, F.rank_one_sum(order[:2]), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize(
         "F, n, tightest",
