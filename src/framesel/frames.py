@@ -157,10 +157,10 @@ def modulated_harmonic_frame(k: int, N: int, seed: int) -> FrameFamily:
 
 def validate_frame(F: FrameFamily, tol: float = _FRAME_TOL) -> FrameValidationReport:
     """Measure norm, Parseval, and count deviations; pass iff all within ``tol``."""
-    norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
-    norm_dev = float(np.max(np.abs(norms2 - 1.0 / F.N))) if F.m else 0.0
-    gram_sum = F.rank_one_sum()
-    parseval_dev = float(np.linalg.norm(gram_sum - np.eye(F.k)))
+    with np.errstate(over="ignore", invalid="ignore"):  # squares that overflow read as inf/NaN deviations
+        norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
+        norm_dev = float(np.max(np.abs(norms2 - 1.0 / F.N))) if F.m else 0.0
+        parseval_dev = float(np.linalg.norm(F.rank_one_sum() - np.eye(F.k)))
     return FrameValidationReport(
         k=F.k,
         N=F.N,
@@ -178,7 +178,8 @@ def rescale_norms(F: FrameFamily) -> FrameFamily:
     Refuses deviations above ``_RESCALE_LIMIT``; those indicate a wrong frame
     rather than accumulated roundoff.
     """
-    norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
+    with np.errstate(over="ignore"):  # an infinite deviation is refused below
+        norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
     dev = float(np.max(np.abs(norms2 - 1.0 / F.N))) if F.m else 0.0
     if dev > _RESCALE_LIMIT:
         raise FrameError(

@@ -23,10 +23,10 @@ O(1/sqrt(N)) term.
 
 The loop carries T_j's eigensystem from step to step by a real rank-one
 update. Every run emits a SelectionCertificate recording per-step choices,
-margins, and potentials; ``verify_certificate`` recomputes all of it from
-scratch with LAPACK and without the update: each T_j's eigenvalues alone
-(Phi, the gap and the norm need no eigenvectors), each U from one linear
-solve with a_j I - T_{j-1}, and one full factorization of T_n at the end.
+margins, and potentials; ``verify_certificate`` recomputes all of it with
+LAPACK and without the update, a chunk of steps at a time: one stacked
+eigvalsh of the T_j (Phi, the gap and the norm need no eigenvectors), one
+stacked solve with the a_j I - T_{j-1} for U, and one factorization of T_n.
 """
 
 from __future__ import annotations
@@ -503,40 +503,62 @@ class CertificateReport:
         return "\n".join(lines)
 
 
+_REPLAY_CHUNK_BYTES = 256 * 1024  # the T_j of one replay chunk: 256 steps at k = 8, 4 at k = 64
+
+
 def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterator[tuple]:
     """Rebuild T_j = T_{j-1} + v (x) v for the 1-based ``order`` against the barriers ``values``.
 
-    Yields (U, spectrum of T_j, Phi^{a_j}(T_j), failure, T_j) per step, as
-    ``_advance`` gives the last two. U comes from one solve
-    x = (a_j I - T_{j-1})^{-1} v, since that resolvent is Hermitian:
-    <(a_j I - T)^{-2} v, v> = ||x||^2 and <(a_j I - T)^{-1} v, v> = Re <v, x>.
-    The spectra come from LAPACK without eigenvectors, on the symmetrized T_j;
-    none of this goes through the selection's rank-one update.
+    Yields (U, spectrum of T_j, Phi^{a_j}(T_j), failure, T_j) per step, as ``_advance`` gives
+    the last two; T_j is a view that a later chunk overwrites. U = ||x||^2 / gap + Re <v, x>
+    with x = (a_j I - T_{j-1})^{-1} v, since that resolvent is Hermitian. A chunk's T_j are
+    built by in-place adds in selection order; their spectra (eigvalsh of the symmetrized
+    T_j) and their solves take one stacked LAPACK call each, with the bits of one call per step.
 
-    Under ``verify_certificate``'s errstate a T_j that overflows ends the replay:
-    its step yields an infinite spectrum, no Phi, and T_{j-1}, the last finite sum.
+    The replay ends at the first step whose norm reaches its barrier or, under
+    ``verify_certificate``'s errstate, whose T_j overflows: that step yields an infinite
+    spectrum, no Phi, and T_{j-1}. Nothing past it is solved.
     """
-    k = F.k
-    T = np.zeros((k, k), dtype=np.complex128)
+    k, order = F.k, np.asarray(order, dtype=np.int64)
+    c = max(1, _REPLAY_CHUNK_BYTES // (16 * k * k))
+    sums = np.zeros((c + 1, k, k), dtype=np.complex128)  # T_lo, ..., T_{lo+c}
+    work = np.empty((c, k, k), dtype=np.complex128)      # the symmetrized T_j, then a_j I - T_{j-1}
     eigenvalues = np.zeros(k)
-    for j, index in enumerate(order, 1):
-        a, a_next = float(values[j - 1]), float(values[j])
-        v = F.vectors[index - 1]
-        gap = _gap(eigenvalues, a, a_next)
-        shifted = -T
-        shifted.flat[:: k + 1] += a_next  # a_j I - T_{j-1}
-        x = np.linalg.solve(shifted, v)
-        u = float(np.vdot(x, x).real) / gap + float(np.vdot(v, x).real)
+    for lo in range(0, len(order), c):
+        vs = F.vectors[order[lo : lo + c] - 1]
+        T, stop, error = sums[1 : len(vs) + 1], len(vs), None
         try:
-            T_next = outer_product_accumulate(T, v)
-            eigenvalues_next = np.linalg.eigvalsh(0.5 * (T_next + T_next.conj().T))
+            np.multiply(vs[:, :, None], vs.conj()[:, None, :], out=T)
+        except FloatingPointError as exc:  # numpy raises after writing all of T: find its first non-finite T_j
+            stop, error = int(np.isfinite(T).all(axis=(1, 2)).argmin()), exc
+        try:
+            for i in range(stop):
+                T[i] += sums[i]
         except FloatingPointError as exc:
-            yield u, np.full(k, np.inf), None, f"T_{j} is not finite ({exc})", T
-            return
-        T = T_next
-        phi, failure = _advance(eigenvalues, eigenvalues_next, a, a_next)
-        yield u, eigenvalues_next, phi, failure, T
-        eigenvalues = eigenvalues_next
+            stop, error = i, exc
+        sym = np.conjugate(T[:stop].transpose(0, 2, 1), out=work[:stop])
+        try:
+            sym += T[:stop]
+        except FloatingPointError as exc:  # likewise for the symmetrized T_j
+            stop, error = int(np.isfinite(sym).all(axis=(1, 2)).argmin()), exc
+        spectra = np.linalg.eigvalsh(np.multiply(sym[:stop], 0.5, out=sym[:stop]))
+        crossed = np.flatnonzero(spectra[:, -1] >= values[lo + 1 : lo + stop + 1])
+        end = min(int(crossed[0]) if crossed.size else stop, len(vs) - 1) + 1  # the steps to replay
+        shifted = np.negative(sums[:end], out=work[:end])  # eigvalsh has copied sym
+        shifted.reshape(end, k * k)[:, :: k + 1] += values[lo + 1 : lo + end + 1, None]
+        xs = np.linalg.solve(shifted, vs[:end, :, None])[..., 0]
+        for i, (x, v) in enumerate(zip(xs, vs)):
+            a, a_next = float(values[lo + i]), float(values[lo + i + 1])
+            u = float(np.vdot(x, x).real) / _gap(eigenvalues, a, a_next) + float(np.vdot(v, x).real)
+            if i == stop:
+                yield u, np.full(k, np.inf), None, f"T_{lo + i + 1} is not finite ({error})", sums[i]
+                return
+            phi, failure = _advance(eigenvalues, spectra[i], a, a_next)
+            yield u, spectra[i], phi, failure, T[i]
+            if phi is None:
+                return
+            eigenvalues = spectra[i]
+        sums[0] = sums[len(vs)]
 
 
 def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> CertificateReport:
@@ -579,13 +601,11 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     if not (count_ok and set_ok):
         return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
 
-    # T_0 = 0 replays zero steps: the final factorization below still runs on it
-    T = np.zeros((F.k, F.k), dtype=np.complex128)
+    T = np.zeros((F.k, F.k), dtype=np.complex128)  # T_0, which the final factorization takes if no step replays
     min_margin, min_step, stopped = math.inf, None, None
     details = []
     replay = _replay(F, chosen_order, expected.values)
-    # numpy raises on overflow and NaN, also in the generator the loop resumes; _replay stops there
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise"):  # also in the generator the loop resumes; _replay stops there
         for (j, step), (u, eigenvalues, phi, failure, T) in zip(enumerate(cert.steps, 1), replay):
             if step.j != j:
                 details.append(f"step {j}: recorded as step {step.j}")

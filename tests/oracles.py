@@ -4,9 +4,10 @@ Everything here is deliberately written along a different route from the
 package code: inverses come from hand-rolled Gauss-Jordan elimination,
 eigenvalues from characteristic-polynomial roots, eigenvectors from cyclic
 Jacobi rotations, determinants from cofactor expansion, subset optima from
-exhaustive enumeration, and set-system ranges from Python sets instead of
-bitmasks. Slow and simple on purpose; tests compare the fast paths against
-these.
+exhaustive enumeration, set-system ranges from Python sets instead of
+bitmasks, and the certificate replay one step at a time instead of in
+stacked chunks. Slow and simple on purpose; tests compare the fast paths
+against these.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import itertools
 
 import numpy as np
 
-from framesel.hermitian import EigenSystem
+from framesel.hermitian import EigenSystem, outer_product_accumulate
+from framesel.selector import _advance, _gap
 
 
 class ConvergenceError(RuntimeError):
@@ -185,6 +187,42 @@ def jacobi_eigh(T: np.ndarray) -> EigenSystem:
             f"Jacobi did not reach off-diagonal target {target:.3e} in {_JACOBI_MAX_SWEEPS} sweeps"
         )
     return _sorted_system(np.real(np.diag(A)).astype(np.float64), V)
+
+
+def replay_per_step(F, order, values):
+    """Rebuild T_j = T_{j-1} + v (x) v for the 1-based ``order`` against the barriers ``values``.
+
+    Yields (U, spectrum of T_j, Phi^{a_j}(T_j), failure, T_j) per step, as
+    ``_advance`` gives the last two. U comes from one solve
+    x = (a_j I - T_{j-1})^{-1} v, since that resolvent is Hermitian:
+    <(a_j I - T)^{-2} v, v> = ||x||^2 and <(a_j I - T)^{-1} v, v> = Re <v, x>.
+    The spectra come from LAPACK without eigenvectors, on the symmetrized T_j;
+    none of this goes through the selection's rank-one update.
+
+    Under ``verify_certificate``'s errstate a T_j that overflows ends the replay:
+    its step yields an infinite spectrum, no Phi, and T_{j-1}, the last finite sum.
+    """
+    k = F.k
+    T = np.zeros((k, k), dtype=np.complex128)
+    eigenvalues = np.zeros(k)
+    for j, index in enumerate(order, 1):
+        a, a_next = float(values[j - 1]), float(values[j])
+        v = F.vectors[index - 1]
+        gap = _gap(eigenvalues, a, a_next)
+        shifted = -T
+        shifted.flat[:: k + 1] += a_next  # a_j I - T_{j-1}
+        x = np.linalg.solve(shifted, v)
+        u = float(np.vdot(x, x).real) / gap + float(np.vdot(v, x).real)
+        try:
+            T_next = outer_product_accumulate(T, v)
+            eigenvalues_next = np.linalg.eigvalsh(0.5 * (T_next + T_next.conj().T))
+        except FloatingPointError as exc:
+            yield u, np.full(k, np.inf), None, f"T_{j} is not finite ({exc})", T
+            return
+        T = T_next
+        phi, failure = _advance(eigenvalues, eigenvalues_next, a, a_next)
+        yield u, eigenvalues_next, phi, failure, T
+        eigenvalues = eigenvalues_next
 
 
 def lambda_max_by_subset(vectors: np.ndarray, subset) -> float:

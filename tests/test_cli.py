@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from framesel import (
     harmonic_frame,
     load_certificate,
     load_frame,
+    modulated_harmonic_frame,
     save_certificate,
     save_frame,
     select_subset,
@@ -19,6 +21,8 @@ from framesel import (
     verify_certificate,
 )
 from framesel.cli import CSV_COLUMNS, main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(*argv):
@@ -115,6 +119,15 @@ class TestSelect:
     def test_rejects_n_zero_and_n_m(self, frame_file, tmp_path):
         assert run("select", "--frame", frame_file, "--n", 0, "--out", tmp_path / "c.json") == 2
         assert run("select", "--frame", frame_file, "--n", 36, "--out", tmp_path / "c.json") == 2
+
+    def test_frame_too_large_to_square_is_refused_without_warnings(self, tmp_path, capsys):
+        F = harmonic_frame(4, 9)
+        frame = tmp_path / "frame.json"
+        save_frame(FrameFamily(k=F.k, N=F.N, vectors=F.vectors * 1e200), frame)
+        assert run("select", "--frame", frame, "--n", 10, "--out", tmp_path / "c.json") == 2
+        err = capsys.readouterr().err
+        assert "norm deviation inf, Parseval deviation nan" in err
+        assert "Warning" not in err
 
     def test_missing_frame_is_io_error(self, tmp_path):
         assert run("select", "--frame", tmp_path / "nope.json", "--n", 2, "--out", tmp_path / "c.json") == 3
@@ -383,6 +396,28 @@ class TestVerify:
             capsys.readouterr()
             assert run("verify", "--frame", frame_file, "--cert", bad) == 2
             assert capsys.readouterr().err.startswith("error:")
+
+
+class TestGoldenVerify:
+    # the replay's stdout, byte for byte: margins, lambda_max and a_n print in full
+    @pytest.mark.parametrize("name, F", [
+        ("harmonic-8-25-n100", harmonic_frame(8, 25)),
+        ("modulated-6-16-seed3-n48", modulated_harmonic_frame(6, 16, seed=3)),
+    ])
+    def test_stored_certificate_reports_the_same_bytes(self, name, F, tmp_path, capsys):
+        frame = tmp_path / "frame.json"
+        save_frame(F, frame)
+        assert run("verify", "--frame", frame, "--cert", DATA / f"certificate-{name}.json") == 0
+        assert capsys.readouterr().out == (DATA / f"verify-{name}.txt").read_text()
+
+    def test_certificate_across_several_chunks_reports_the_same_bytes(self, tmp_path, capsys):
+        # 600 steps at k = 8 span three replay chunks of 256
+        F = modulated_harmonic_frame(8, 100, seed=5)
+        frame, cert = tmp_path / "frame.json", tmp_path / "cert.json"
+        save_frame(F, frame)
+        save_certificate(select_subset(F, 600), cert)
+        assert run("verify", "--frame", frame, "--cert", cert) == 0
+        assert capsys.readouterr().out == (DATA / "verify-modulated-8-100-seed5-n600.txt").read_text()
 
 
 class TestParser:

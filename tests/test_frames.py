@@ -138,6 +138,19 @@ class TestValidation:
         with pytest.raises(FrameError):
             rescale_norms(wrong)
 
+    def test_vectors_too_large_to_square_are_refused_without_warnings(self):
+        # finite entries whose squares overflow; tier-1 turns any warning into an error
+        F = harmonic_frame(4, 9)
+        huge = FrameFamily(k=F.k, N=F.N, vectors=F.vectors * 1e200)
+        report = validate_frame(huge)
+        assert not report.passed
+        assert report.norm_deviation == np.inf and np.isnan(report.parseval_deviation)
+        assert "norm deviation inf, Parseval deviation nan" in report.summary()
+        with pytest.raises(FrameError, match="norm deviation inf"):
+            rescale_norms(huge)
+        with pytest.raises(FrameError, match="norm deviation inf, Parseval deviation nan"):
+            select_subset(huge, 10)
+
 
 class TestProjectionDuality:
     def test_gram_is_projection_with_correct_diagonal(self):

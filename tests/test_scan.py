@@ -4,7 +4,8 @@ The subset a run selects must not depend on how U was computed: the FFT and
 the dense scan, and the loop's rank-one eigen-update and a fresh lapack or
 jacobi factorization of T, differ in roundoff only, and the tie band absorbs
 roundoff. The verify replay recomputes U, Phi and lambda_max from T's
-eigenvalues and one linear solve, and must agree with the eigenvector route.
+eigenvalues and one linear solve, and must agree with the eigenvector route;
+its stacked chunks must give the bits of a replay one step at a time.
 """
 
 import dataclasses
@@ -42,7 +43,7 @@ from framesel.hermitian import (
     resolvent_quadratic_form,
 )
 
-from oracles import jacobi_eigh
+from oracles import jacobi_eigh, replay_per_step
 
 # criterion 11's frames and sizes
 N_LIST = [(harmonic_frame(4, N), 2 * N) for N in (25, 100, 400)]
@@ -53,6 +54,29 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def order(cert):
     return [step.index for step in cert.steps]
+
+
+def bits(value):
+    return value if value is None or isinstance(value, str) else np.asarray(value).tobytes()
+
+
+def replays_alike(F, steps, values):
+    """Assert that ``selector._replay`` yields the per-step oracle's bits; return the steps replayed."""
+    chunked = selector._replay(F, steps, values)
+    j = 0
+    for want in replay_per_step(F, steps, values):
+        got = next(chunked)
+        j += 1
+        assert type(got[0]) is type(want[0]) and type(got[2]) is type(want[2])
+        assert [bits(x) for x in got] == [bits(x) for x in want], f"step {j}"
+        if want[2] is None:  # a crossing or an overflow: the oracle has no end of its own
+            break
+    assert next(chunked, None) is None
+    return j
+
+
+def set_chunk(monkeypatch, F, steps):
+    monkeypatch.setattr(selector, "_REPLAY_CHUNK_BYTES", steps * 16 * F.k**2)
 
 
 def factor_running_sum(solver, calls):
@@ -226,7 +250,7 @@ class TestRankOneUpdate:
             assert np.linalg.norm(state.eig.reconstruct() - T, 2) <= 1e-12
 
     def test_loop_builds_no_running_sum(self, monkeypatch):
-        # the loop carries T_j's eigensystem only; the verify replay alone rebuilds T_j
+        # the loop carries T_j's eigensystem only; the verify replay builds T_j in chunks of its own
         calls = []
 
         def counted(T, v):
@@ -243,7 +267,7 @@ class TestRankOneUpdate:
         cert = select_subset(F, F.m - 1)
         assert calls == []
         assert verify_certificate(F, cert).passed
-        assert len(calls) == cert.n
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("v", [[1, 0, 0, 0], [0, 0, 0.6 * np.exp(0.3j), 0]], ids=["e1", "phase"])
     def test_zero_components_deflate(self, v):
@@ -334,3 +358,94 @@ class TestReplay:
             calls.clear()
             assert verify_certificate(F, cert).passed is passed
             assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "F, chunk",
+        [
+            (modulated_harmonic_frame(4, 513, seed=1), None),  # 1024 steps per chunk
+            (modulated_harmonic_frame(8, 65, seed=2), None),   # 256 steps per chunk
+            *[(F, 8) for F in generic_frames().values()],       # the dense scan's frames, m = 36
+            (modulated_harmonic_frame(1, 40, seed=3), 8),       # size-1 axes can pick another numpy loop
+        ],
+        ids=["modulated-4-513", "modulated-8-65", *(f"{name}-4-9" for name in generic_frames()), "modulated-1-40"],
+    )
+    def test_chunked_replay_has_the_per_step_bits(self, F, chunk, monkeypatch):
+        if chunk is not None:
+            set_chunk(monkeypatch, F, chunk)
+        c = selector._REPLAY_CHUNK_BYTES // (16 * F.k**2)
+        assert c == (chunk or {4: 1024, 8: 256}[F.k])
+        ns = [c - 1, c, c + 1, 2 * c + 1]
+        for n, cert in zip(ns, select_prefixes(F, ns), strict=True):
+            assert replays_alike(F, order(cert), cert.schedule.values) == n
+
+    @pytest.mark.parametrize("chunk", [8, 9], ids=["mid-chunk", "chunk-start"])
+    def test_crossing_anywhere_in_a_chunk_solves_no_step_past_it(self, chunk, monkeypatch):
+        # steps 1..20 in index order cross at step 19: the third of chunk 17..24, the first of 19..27
+        F = harmonic_frame(2, 25)
+        values = barrier_schedule(F.N, F.m, 20).values
+        set_chunk(monkeypatch, F, chunk)
+        assert replays_alike(F, list(range(1, 21)), values) == 19
+        solved = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solved.append(1 if a.ndim == 2 else len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        steps = list(selector._replay(F, list(range(1, 21)), values))
+        assert len(steps) == 19 and steps[-1][3].startswith("norm bound breached")
+        assert sum(solved) == 19
+
+    @pytest.mark.parametrize(
+        "scaled, j, failure",
+        [
+            ({5: 1e200}, 5, "T_5 is not finite (overflow encountered in multiply)"),
+            ({7: 1e200}, 7, "T_7 is not finite (overflow encountered in multiply)"),
+            # |v_i|^2 = 1.2e308 per entry: T_5 is finite, its symmetrization is not
+            ({5: 6 * np.sqrt(1.2e308)}, 5, "T_5 is not finite (overflow encountered in add)"),
+            # the chunk's products fail at step 7, its stacked symmetrization at step 5
+            ({5: 6 * np.sqrt(1.2e308), 7: 1e200}, 5, "T_5 is not finite (overflow encountered in add)"),
+            ({5: 10.0, 7: 1e200}, 5, "norm bound breached"),
+        ],
+        ids=["chunk-start", "mid-chunk", "symmetrization", "earliest-overflow", "crossing-first"],
+    )
+    def test_overflow_anywhere_in_a_chunk_keeps_the_last_finite_sum(self, scaled, j, failure, monkeypatch):
+        # chunks of 4 steps: 1..4, 5..8, 9..10; the sum an overflow at step 5 yields is the first chunk's last
+        F = harmonic_frame(4, 9)
+        cert = select_subset(F, 10)
+        steps = order(cert)
+        vectors = F.vectors.copy()
+        for step, scale in scaled.items():
+            vectors[steps[step - 1] - 1] *= scale
+        G = FrameFamily(k=F.k, N=F.N, vectors=vectors)
+        set_chunk(monkeypatch, F, 4)
+        with np.errstate(over="raise", invalid="raise"):
+            assert replays_alike(G, steps, cert.schedule.values) == j
+            *_, (u, spectrum, phi, message, T) = selector._replay(G, steps, cert.schedule.values)
+        assert phi is None and message.startswith(failure)
+        if "not finite" in failure:
+            assert np.isinf(spectrum).all()
+            np.testing.assert_allclose(T, G.rank_one_sum(steps[: j - 1]), rtol=0.0, atol=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_certificate(G, cert)
+        assert report.failures()[0].startswith(f"steps: step {j}: {failure}")
+        assert report.min_margin_step == j
+
+    def test_crossing_ends_the_replay_before_a_later_overflow_in_its_chunk(self, monkeypatch):
+        # T_5 = 0.8e308 per entry crosses its barrier; the chunk builds T_6 before it sees that,
+        # and T_6 = T_5 + v (x) v overflows in the add
+        F = harmonic_frame(4, 9)
+        cert = select_subset(F, 10)
+        steps = order(cert)
+        vectors = F.vectors.copy()
+        vectors[steps[4] - 1] *= 6 * np.sqrt(0.8e308)
+        vectors[steps[5] - 1] *= 6e154
+        G = FrameFamily(k=F.k, N=F.N, vectors=vectors)
+        set_chunk(monkeypatch, F, 4)
+        with np.errstate(over="raise", invalid="raise"):
+            assert replays_alike(G, steps, cert.schedule.values) == 5
+            *_, (u, spectrum, phi, message, T) = selector._replay(G, steps, cert.schedule.values)
+        assert phi is None and message.startswith("norm bound breached")
+
