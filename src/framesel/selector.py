@@ -88,13 +88,13 @@ def barrier_schedule(N: int, m: int, n: int) -> BarrierSchedule:
     return BarrierSchedule(N=N, m=m, n=n, values=values)
 
 
-# Half-width of the greedy rule's tie band, relative to max(1, u*). The same U
-# differs by about 1e-15 between the FFT and the dense scan and by up to 1e-13
-# between eigh and the tests' Jacobi oracle, so roundoff never reaches the band
-# edge. On harmonic frames the U that are not tied sit 2e-7 or more above u*;
-# seeded modulated frames have true gaps of any size, and SelectionStep.band_gap
-# records how close each decision came. The band is ten times narrower than
-# _FEASIBILITY_SLACK, so a chosen U inside it stays feasible.
+# Half-width of the greedy rule's tie band, relative to max(1, u*). The same U differs
+# by about 1e-15 between the FFT and the dense scan, by up to 1e-13 between eigh and the
+# tests' Jacobi oracle, and by up to 5e-13 between the update's Loewner and eigh routes over
+# full runs at k = 20..128, so roundoff never reaches the band edge. On harmonic frames the U
+# not tied sit 2e-7 or more above u*; seeded modulated frames have true gaps of any size, and
+# SelectionStep.band_gap records how close each decision came. The band is ten times narrower
+# than _FEASIBILITY_SLACK, so a chosen U inside it stays feasible.
 _TIE_BAND = 1e-10
 _FEASIBILITY_SLACK = 1e-9  # U <= 1 + slack admits a candidate
 _POTENTIAL_SLACK = 1e-10   # allowed potential rise per step
@@ -129,20 +129,47 @@ def _feasibility(rows: np.ndarray, eigenvectors: np.ndarray, weights: np.ndarray
     return np.abs(rows @ eigenvectors.conj()) ** 2 @ weights
 
 
-def _rank_one_update(eig: EigenSystem, v: np.ndarray) -> EigenSystem:
-    """The eigensystem of T + v (x) v from eig, the eigensystem of T, by one real k x k eigh.
+# The update's Loewner route takes 1.36x the time of eigh at k = 12, 1.02-1.15x at 16-18, 0.90x at 20
+# and 0.5-0.7x at 64, so eigh runs below _LOWNER_MIN_K; also where an r_i or a gap of Lambda is at most
+# _DEFLATION_TOL max(1, d_k), or where mu's roundoff eps max(1, mu_k) could move z z^T by over 1e-13.
+_LOWNER_MIN_K = 20
+_DEFLATION_TOL = 1e-8
+_LOWNER_GAIN = 1e-13 / np.finfo(np.float64).eps
 
-    With z = E* v, r = |z| and p = z/r (p = 1 where r = 0), E diag(p) r = E z = v,
-    so T + v (x) v = E diag(p) (Lambda + r r^T) diag(p)* E*. The middle matrix is
-    real symmetric; LAPACK factors it as W diag(mu) W^T, deflation and clusters
-    included, and E' = E diag(p) W (Bunch, Nielsen and Sorensen, Numer. Math. 1978).
+
+def _lowner_vectors(d: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Eigenvectors of diag(d) + z z^T, whose eigenvalues mu interlace d strictly (Gu and Eisenstat, SIMAX 1994).
+
+    Column c is z / (d - mu_c), normalized, where z_i^2 = (mu_k - d_i) prod_{l<i} (mu_l - d_i)/(d_l - d_i)
+    prod_{l>i} (mu_{l-1} - d_i)/(d_l - d_i): each ratio is in (0, 1), so no partial product underflows.
     """
-    E = eig.eigenvectors
+    k = d.shape[0]
+    gaps = (d - d[:, None]).ravel()[1:].reshape(k - 1, k + 1)[:, :-1].reshape(k, k - 1)  # d_l - d_i, l != i
+    W = np.sqrt((mu[-1] - d) * ((mu[:-1] - d[:, None]) / gaps).prod(axis=1))[:, None] / (d[:, None] - mu)
+    return W / np.sqrt(np.einsum("ic,ic->c", W, W))
+
+
+def _rank_one_update(eig: EigenSystem, v: np.ndarray) -> EigenSystem:
+    """The eigensystem of T + v (x) v from eig, the eigensystem of T, by a real k x k rank-one update.
+
+    With z = E* v, r = |z| and p = z/r (p = 1 where r = 0), T + v (x) v = E diag(p) (Lambda + r r^T) diag(p)* E*,
+    and Lambda + r r^T = W diag(mu) W^T gives E' = E diag(p) W (Bunch, Nielsen and Sorensen, Numer. Math. 1978).
+    A step without deflation takes mu from eigvalsh and W by ``_lowner_vectors``, others eigh. An error e in mu_c
+    moves z_c by about r_c e / 2 min(mu_c - d_c, d_c - mu_{c-1}): E Lambda E* drifts faster than by eigh alone.
+    """
+    E, d = eig.eigenvectors, eig.eigenvalues
     z = E.conj().T @ v
     r = np.abs(z)
     p = np.ones_like(z)
     np.divide(z, r, out=p, where=r > 0.0)
-    mu, W = np.linalg.eigh(np.diag(eig.eigenvalues) + np.outer(r, r))
+    A, tol, W = np.diag(d) + np.outer(r, r), _DEFLATION_TOL * max(1.0, d[-1]), None
+    if d.shape[0] >= _LOWNER_MIN_K and r.min() > tol and np.diff(d).min() > tol:
+        mu = np.linalg.eigvalsh(A)
+        gain = _LOWNER_GAIN / (max(1.0, mu[-1]) * math.sqrt(r @ r))  # largest r_c / offset allowed
+        if (r < gain * (mu - d)).all() and (r[1:] < gain * (d[1:] - mu[:-1])).all():
+            W = _lowner_vectors(d, mu)
+    if W is None:
+        mu, W = np.linalg.eigh(A)
     Ep = E * p
     vectors = np.empty_like(Ep)
     vectors.real = Ep.real @ W  # two real GEMMs beat one complex-by-real product
@@ -150,14 +177,13 @@ def _rank_one_update(eig: EigenSystem, v: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=mu, eigenvectors=vectors)
 
 
-def _advance(eigenvalues: np.ndarray, eigenvalues_next: np.ndarray, a: float, a_next: float) -> tuple:
-    """(Phi^{a_next} after the step, failure), given the ascending spectra of T and of T + v (x) v.
+def _advance(phi: float, eigenvalues_next: np.ndarray, a_next: float) -> tuple:
+    """(Phi^{a_next} after the step, failure), given Phi^a(T) and the ascending spectrum of T + v (x) v.
 
     ``failure`` is None when the norm stays below a_next and the potential does
-    not rise above Phi^a(T) by more than ``_POTENTIAL_SLACK``; otherwise it names
+    not rise above ``phi`` by more than ``_POTENTIAL_SLACK``; otherwise it names
     the conclusion that broke. The potential is None when the norm broke.
     """
-    phi = _potential(eigenvalues, a)
     lam = float(eigenvalues_next[-1])
     if lam >= a_next:
         return None, f"norm bound breached: lambda_max = {lam} >= a_next = {a_next} (margin {a_next - lam:.3e})"
@@ -195,7 +221,8 @@ def barrier_push_check(T: np.ndarray, v: np.ndarray, a: float, a_next: float) ->
     ToleranceBreachError with the margins spelled out rather than passing
     silently. Returns (norm_ok, potential at a_next after the update).
     """
-    phi_after, failure = _advance(eigh(T).eigenvalues, eigh(outer_product_accumulate(T, v)).eigenvalues, a, a_next)
+    phi = _potential(eigh(T).eigenvalues, a)
+    phi_after, failure = _advance(phi, eigh(outer_product_accumulate(T, v)).eigenvalues, a_next)
     if failure is not None:
         raise ToleranceBreachError(failure)
     return True, phi_after
@@ -203,7 +230,7 @@ def barrier_push_check(T: np.ndarray, v: np.ndarray, a: float, a_next: float) ->
 
 @dataclass(frozen=True, eq=False)
 class SelectionState:
-    """Mid-run snapshot, never modified: the unused indices and the eigensystem of T_j.
+    """Mid-run snapshot, never modified: the unused indices, the eigensystem of T_j and its potential.
 
     T_j itself is not kept, and the selection order lives in the step records.
     """
@@ -212,6 +239,7 @@ class SelectionState:
     remaining: np.ndarray       # (m - j,) int64, 1-based, ascending, read-only; new per step
     step: int                   # j, the number of vectors added so far
     eig: EigenSystem            # eigensystem of T_j, carried by rank-one updates from T_0 = 0
+    phi: float                  # Phi^{a_j}(T_j), carried from the step that made T_j
     dft_bins: np.ndarray | None = None  # (2 k^2,) FFT-scan bins of a DFT row-subset frame; None scans densely
 
 
@@ -306,7 +334,8 @@ def initial_selection_state(F: FrameFamily) -> SelectionState:
     if offsets is not None:
         bins = (2 * ((offsets[None, :] - offsets[:, None]) % F.m)[..., None] + np.arange(2)).ravel()
         bins.setflags(write=False)
-    return SelectionState(frame=F, remaining=remaining, step=0, eig=eig, dft_bins=bins)
+    phi = _potential(eig.eigenvalues, 1.0 / math.sqrt(F.N))  # at a_0, which is 1/sqrt(N) to the bit
+    return SelectionState(frame=F, remaining=remaining, step=0, eig=eig, phi=phi, dft_bins=bins)
 
 
 def _scan(state: SelectionState, schedule: BarrierSchedule) -> tuple:
@@ -353,7 +382,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
     ToleranceBreachError if a certified inequality fails after the update.
     """
     j = state.step
-    a, a_next, eig, profile = _scan(state, schedule)
+    _, a_next, eig, profile = _scan(state, schedule)
     u_min = float(profile.min())
     edge = u_min + _TIE_BAND * max(1.0, u_min)
     inside = profile <= edge
@@ -370,7 +399,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
     index = int(state.remaining[pos])
     tie_count = int(np.count_nonzero(inside))
     eig_next = _rank_one_update(eig, state.frame.vectors[index - 1])
-    phi_next, failure = _advance(eig.eigenvalues, eig_next.eigenvalues, a, a_next)
+    phi_next, failure = _advance(state.phi, eig_next.eigenvalues, a_next)
     if failure is not None:
         raise ToleranceBreachError(f"step {j + 1}: {failure}")
 
@@ -388,7 +417,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
     remaining = np.delete(state.remaining, pos)
     remaining.setflags(write=False)
     next_state = SelectionState(
-        frame=state.frame, remaining=remaining, step=j + 1, eig=eig_next, dft_bins=state.dft_bins
+        frame=state.frame, remaining=remaining, step=j + 1, eig=eig_next, phi=phi_next, dft_bins=state.dft_bins
     )
     return next_state, record
 
@@ -524,6 +553,7 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterato
     sums = np.zeros((c + 1, k, k), dtype=np.complex128)  # T_lo, ..., T_{lo+c}
     work = np.empty((c, k, k), dtype=np.complex128)      # the symmetrized T_j, then a_j I - T_{j-1}
     eigenvalues = np.zeros(k)
+    phi = _potential(eigenvalues, float(values[0]))
     for lo in range(0, len(order), c):
         vs = F.vectors[order[lo : lo + c] - 1]
         T, stop, error = sums[1 : len(vs) + 1], len(vs), None
@@ -553,7 +583,7 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterato
             if i == stop:
                 yield u, np.full(k, np.inf), None, f"T_{lo + i + 1} is not finite ({error})", sums[i]
                 return
-            phi, failure = _advance(eigenvalues, spectra[i], a, a_next)
+            phi, failure = _advance(phi, spectra[i], a_next)
             yield u, spectra[i], phi, failure, T[i]
             if phi is None:
                 return
@@ -631,8 +661,8 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     steps_ok = not details
     check("steps", steps_ok, "all per-step claims replay" if steps_ok else "; ".join(details[:4]))
 
-    # the replay's one factorization with eigenvectors, for the final spectrum the report prints
-    eig = eigh(T)
+    # the one factorization with vectors, for the printed spectrum; T_j symmetrized has no defect, however huge
+    eig = eigh(0.5 * (T + T.conj().T))
     spec_ok = bool(np.allclose(np.sort(eig.eigenvalues), np.sort(cert.eigenvalues), rtol=0.0, atol=1e-8))
     check("spectrum", spec_ok, "final eigenvalues match" if spec_ok else "final eigenvalues differ")
     bound_ok = abs(cert.bound - float(sched.values[-1])) <= 1e-12 * max(1.0, cert.bound)

@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from framesel.hermitian import EigenSystem, outer_product_accumulate
-from framesel.selector import _advance, _gap
+from framesel.selector import _advance, _gap, _potential
 
 
 class ConvergenceError(RuntimeError):
@@ -220,7 +220,7 @@ def replay_per_step(F, order, values):
             yield u, np.full(k, np.inf), None, f"T_{j} is not finite ({exc})", T
             return
         T = T_next
-        phi, failure = _advance(eigenvalues, eigenvalues_next, a, a_next)
+        phi, failure = _advance(_potential(eigenvalues, a), eigenvalues_next, a_next)
         yield u, eigenvalues_next, phi, failure, T
         eigenvalues = eigenvalues_next
 

@@ -358,6 +358,22 @@ class TestVerify:
         assert "smallest per-step margin      = -inf" in captured.out
         assert "error:" not in captured.out + captured.err
 
+    def test_huge_finite_crossing_is_rejected_with_a_report(self, tmp_path, capsys):
+        # T_5 is finite, but its roundoff defect (1e182) is far above eigh's absolute Hermitian check
+        F = harmonic_frame(4, 9)
+        cert = select_subset(F, 10)
+        vectors = F.vectors.copy()
+        vectors[cert.steps[4].index - 1] *= 1e100
+        frame, path = tmp_path / "frame.json", tmp_path / "cert.json"
+        save_frame(FrameFamily(k=F.k, N=F.N, vectors=vectors), frame)
+        save_certificate(cert, path)
+        assert run("verify", "--frame", frame, "--cert", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("certificate REJECTED\n")
+        assert "FAIL steps: step 5: norm bound breached" in captured.out
+        assert "FAIL final-norm: replay stopped at step 5 of 10" in captured.out
+        assert "error:" not in captured.out + captured.err
+
     def test_malformed_schedule_is_rejected_with_a_report(self, frame_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         run("select", "--frame", frame_file, "--n", 12, "--out", cert)

@@ -50,6 +50,7 @@ N_LIST = [(harmonic_frame(4, N), 2 * N) for N in (25, 100, 400)]
 DFT_ROW_OFFSETS = selector._dft_row_offsets
 DENSE_FEASIBILITY = selector._feasibility
 DATA = Path(__file__).resolve().parent / "data"
+LOWNER_K = selector._LOWNER_MIN_K
 
 
 def order(cert):
@@ -73,6 +74,13 @@ def replays_alike(F, steps, values):
             break
     assert next(chunked, None) is None
     return j
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; return the list it appends one entry per call to."""
+    calls, function = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or function(*args))
+    return calls
 
 
 def set_chunk(monkeypatch, F, steps):
@@ -269,20 +277,103 @@ class TestRankOneUpdate:
         assert verify_certificate(F, cert).passed
         assert len(calls) == 0
 
-    @pytest.mark.parametrize("v", [[1, 0, 0, 0], [0, 0, 0.6 * np.exp(0.3j), 0]], ids=["e1", "phase"])
-    def test_zero_components_deflate(self, v):
-        # T diagonal with a double eigenvalue: z = E* v is exactly 0 off v's support
-        T = np.diag([0.5, 0.5, 1.0, 2.0]).astype(np.complex128)
+    @pytest.mark.parametrize(
+        "d, v, atol",
+        [
+            ([0.5, 0.5, 1.0, 2.0], [1, 0, 0, 0], 1e-15),
+            ([0.5, 0.5, 1.0, 2.0], [0, 0, 0.6 * np.exp(0.3j), 0], 1e-15),
+            # at the Loewner route's smallest k: a zero component, then a double eigenvalue
+            (np.linspace(0.05, 1.0, LOWNER_K), np.where(np.arange(LOWNER_K) == 3, 0.0, 0.2), 1e-14),
+            (np.repeat(np.linspace(0.05, 1.0, LOWNER_K // 2), 2), np.full(LOWNER_K, 0.2), 1e-14),
+        ],
+        ids=["e1", "phase", f"zero-component-k{LOWNER_K}", f"double-eigenvalue-k{LOWNER_K}"],
+    )
+    def test_zero_components_deflate(self, d, v, atol, monkeypatch):
+        # T diagonal: z = E* v is exactly 0 off v's support, and a repeated d_i has no gap; both take eigh
+        k = len(d)
+        T = np.diag(d).astype(np.complex128)
         v = np.asarray(v, dtype=np.complex128)
-        eig = EigenSystem(eigenvalues=np.diag(T).real.copy(), eigenvectors=np.eye(4, dtype=np.complex128))
+        eig = EigenSystem(eigenvalues=np.diag(T).real.copy(), eigenvectors=np.eye(k, dtype=np.complex128))
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        eigenvalue_calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             updated = selector._rank_one_update(eig, v)
+        assert len(calls) == 1 and eigenvalue_calls == []  # deflation is seen before any LAPACK call
         T_next = T + np.outer(v, v.conj())
         E = updated.eigenvectors
-        np.testing.assert_allclose(updated.eigenvalues, np.sort(np.diag(T_next).real), rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(E.conj().T @ E, np.eye(4), rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(updated.reconstruct(), T_next, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(updated.eigenvalues, np.linalg.eigvalsh(T_next), rtol=0.0, atol=atol)
+        np.testing.assert_allclose(E.conj().T @ E, np.eye(k), rtol=0.0, atol=atol)
+        np.testing.assert_allclose(updated.reconstruct(), T_next, rtol=0.0, atol=atol)
+
+    def test_a_step_without_deflation_takes_no_eigh(self, monkeypatch):
+        # the control for the cases above: distinct d and no zero component
+        d = np.linspace(0.05, 1.0, LOWNER_K)
+        v = np.full(LOWNER_K, 0.2, dtype=np.complex128)
+        eig = EigenSystem(eigenvalues=d, eigenvectors=np.eye(LOWNER_K, dtype=np.complex128))
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        updated = selector._rank_one_update(eig, v)
+        assert calls == []
+        T_next = np.diag(d) + np.outer(v, v.conj())
+        E = updated.eigenvectors
+        np.testing.assert_allclose(updated.eigenvalues, np.linalg.eigvalsh(T_next), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(E.conj().T @ E, np.eye(LOWNER_K), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(updated.reconstruct(), T_next, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "F", [modulated_harmonic_frame(32, 50, seed=7), modulated_harmonic_frame(64, 25, seed=1)],
+        ids=["modulated-32-50", "modulated-64-25"],
+    )
+    def test_both_routes_select_alike(self, F, monkeypatch):
+        # the default run takes the Loewner route wherever deflation allows; then eigh on every step
+        n = F.m - 1
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        fast = select_subset(F, n)
+        assert 0 < len(calls) < n / 4  # the rank-deficient start, and a few steps after
+        monkeypatch.setattr(selector, "_LOWNER_MIN_K", F.k + 1)
+        calls.clear()
+        slow = select_subset(F, n)
+        assert len(calls) == n
+        assert order(fast) == order(slow)
+        for field in ("feasibility", "potential", "lambda_max"):
+            got, want = ([getattr(s, field) for s in cert.steps] for cert in (fast, slow))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "F, n, least, most",
+        [
+            # lambda = 0 is a multiple eigenvalue for the first k - 1 steps; after them, few steps deflate
+            (modulated_harmonic_frame(64, 25, seed=1), 800, 63, 128),
+            # harmonic spectra cluster: every step deflates
+            (harmonic_frame(LOWNER_K, 25), 499, 499, 499),
+            (harmonic_frame(32, 16), 511, 511, 511),
+        ],
+        ids=["modulated-64-25", f"harmonic-{LOWNER_K}-25", "harmonic-32-16"],
+    )
+    def test_eigh_runs_on_deflated_steps_only(self, F, n, least, most, monkeypatch):
+        calls = count_calls(monkeypatch, np.linalg, "eigh")
+        select_subset(F, n)
+        assert least <= len(calls) <= most
+
+    @pytest.mark.parametrize(
+        "F", [modulated_harmonic_frame(64, 25, seed=1), modulated_harmonic_frame(128, 8, seed=1)],
+        ids=["modulated-64-25", "modulated-128-8"],
+    )
+    def test_carried_eigensystem_stays_close_over_a_full_run(self, F):
+        # the Loewner route's mu are eigvalsh's, not offsets from d: E Lambda E* drifts more than eigh's
+        n = F.m - 1
+        sched = barrier_schedule(F.N, F.m, n)
+        state = initial_selection_state(F)
+        T = np.zeros((F.k, F.k), dtype=np.complex128)
+        eye = np.eye(F.k)
+        for j in range(1, n + 1):
+            state, record = selection_step(state, sched)
+            v = F.vectors[record.index - 1]
+            T += np.outer(v, v.conj())
+            if j % 50 == 0 or j == n:
+                E = state.eig.eigenvectors
+                assert np.linalg.norm(E.conj().T @ E - eye, 2) <= 1e-12, f"step {j}"
+                assert np.linalg.norm(state.eig.reconstruct() - T, 2) <= 2e-12, f"step {j}"
 
     @pytest.mark.parametrize(
         "name, F",
