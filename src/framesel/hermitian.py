@@ -140,22 +140,6 @@ def resolvent_rank_one_downdate(Rinv: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _rank_one_inverse(Rinv, v, -1.0, "downdate")
 
 
-def composed_resolvent_inverse(a: float, vectors: np.ndarray) -> np.ndarray:
-    """(aI - sum_i v_i (x) v_i)^{-1} built by chained rank-one downdates.
-
-    Cross-check path for the eigenbasis evaluation used elsewhere: starts
-    from (aI)^{-1} and folds in one vector at a time.
-    """
-    vectors = np.asarray(vectors, dtype=np.complex128)
-    if vectors.ndim != 2:
-        raise ValueError("expected a (count, dim) array of row vectors")
-    k = vectors.shape[1]
-    Rinv = np.eye(k, dtype=np.complex128) / a
-    for v in vectors:
-        Rinv = resolvent_rank_one_downdate(Rinv, v)
-    return Rinv
-
-
 def chebyshev_sum_bound(a_seq: np.ndarray, b_seq: np.ndarray) -> tuple[float, float]:
     """Both sides of the ordered-sum inequality sum a_i b_i <= (1/k) sum a_i sum b_i.
 

@@ -32,7 +32,7 @@ from .frames import _write_json
 
 _BUILD_CAP = 200_000       # largest |X| = C(2N, N) that build_katz enumerates
 _EXHAUSTIVE_MAX_N = 6      # auto mode walks all 2^(2N) subsets up to this N
-_BLOCK_BYTES = 1 << 18     # dichotomy_check's AND buffer per block of subsets
+_BLOCK_BYTES = 1 << 18     # dichotomy_check's AND buffer per block of subsets, across the split values
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +136,8 @@ def build_katz(N: int) -> KatzSystem:
 
 def subset_sum_range(system: KatzSystem, indices) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of g_S over all points, by enumeration."""
+    if system.num_points == 0:
+        raise ValueError("the system has no points: g_S has no min or max on an empty point set")
     counts = system.intersection_counts(indices)
     return Fraction(int(counts.min()), system.N), Fraction(int(counts.max()), system.N)
 
@@ -194,15 +196,15 @@ def dichotomy_check(
     """Verify endpoint pinning for subsets S of the ground set.
 
     Exhaustive mode walks all 2^(2N) subsets (auto mode picks it for N up
-    to ``_EXHAUSTIVE_MAX_N``); sampled mode draws ``trials`` uniform random
-    subsets from a seeded generator. Either way every subset meets every
-    point: the subsets go in blocks through ``_count_extremes``, which
-    keeps, per subset, the least and the largest |A intersect S| over all
-    points A. Exhaustive mode makes each block's subsets with ``np.arange``
-    and never holds all 2^(2N) of them. The per-subset extremes are then
-    compared with the closed form in one vectorized pass, and the first 32
-    subsets that are confined strictly inside (0, 1), or off the closed
-    form, are recorded by their members in subset order.
+    to ``_EXHAUSTIVE_MAX_N``), a block of ``np.arange`` at a time; sampled
+    mode draws ``trials`` uniform random subsets from a seeded generator.
+    Either way ``_count_extremes`` meets every subset with every point,
+    through the low N and the high N bits of its mask, at one popcount per
+    high and per distinct low value (2^(N+1) for the full system). The
+    per-subset least and largest |A intersect S| are then compared with the
+    closed form in one vectorized pass, and the first 32 subsets that are
+    confined strictly inside (0, 1), or off the closed form, are recorded
+    by their members in subset order.
     """
     if mode == "auto":
         mode = "exhaustive" if system.N <= _EXHAUSTIVE_MAX_N else "sampled"
@@ -210,6 +212,8 @@ def dichotomy_check(
         raise ValueError(f"mode must be 'auto', 'exhaustive', or 'sampled', got {mode!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if system.num_points == 0:
+        raise ValueError("the system has no points: g_S has no min or max on an empty point set")
 
     g = system.ground_size
     masks = _narrowed_masks(system)
@@ -226,7 +230,7 @@ def dichotomy_check(
         def subsets(start: int, stop: int) -> np.ndarray:
             return draws[start:stop]
 
-    lo, hi, size = _count_extremes(masks, subsets, count)
+    lo, hi, size = _count_extremes(masks, subsets, count, system.N)
     at_zero = lo == 0
     at_one = hi == system.N
     hi_expect = np.minimum(size, system.N)
@@ -247,27 +251,41 @@ def dichotomy_check(
     )
 
 
-def _count_extremes(masks: np.ndarray, subsets, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _count_extremes(masks: np.ndarray, subsets, count: int, low_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per subset: min and max over the points of |A intersect S|, and |S|, as uint8.
 
-    ``subsets(start, stop)`` gives subsets start..stop - 1 as masks of
-    ``masks.dtype``. They are taken in blocks whose AND with every point
-    fills about ``_BLOCK_BYTES``, and each block goes through the same
-    preallocated buffers: AND, popcount, then a row-wise min and max.
+    ``subsets(start, stop)`` gives subsets start..stop - 1; ``masks`` is
+    sorted and overwritten. Points with equal bits from ``low_bits`` up form
+    a group, and groups with equal low bits share a k, so the points are the
+    products H_k x L_k and min |A intersect S| = min over k of (min over H_k
+    of popcount(A_hi & S) + min over L_k of popcount(A_lo & S)); max likewise.
     """
-    rows = max(1, _BLOCK_BYTES // max(1, masks.nbytes))
-    buf = np.empty((rows, masks.size), dtype=masks.dtype)
-    cnt = np.empty((rows, masks.size), dtype=np.uint8)
-    lo = np.empty(count, dtype=np.uint8)
-    hi = np.empty(count, dtype=np.uint8)
-    size = np.empty(count, dtype=np.uint8)
+    masks.sort()
+    low_mask = (1 << low_bits) - 1
+    groups: dict[bytes, list] = {}
+    stop = 0
+    while stop < masks.size:
+        start, stop = stop, int(masks.searchsorted(masks[stop] | low_mask, side="right"))
+        groups.setdefault((masks[start:stop] & low_mask).tobytes(), []).append(masks[start] >> low_bits)
+    sides = [np.frombuffer(key, dtype=masks.dtype) for key in groups]
+    sides += [np.array(tops, dtype=masks.dtype) << low_bits for tops in groups.values()]
+    values = np.concatenate(sides)
+    starts = np.cumsum([0] + [side.size for side in sides[:-1]])
+    k = len(groups)
+    rows = max(1, _BLOCK_BYTES // values.nbytes)
+    buf = np.empty((rows, values.size), dtype=masks.dtype)
+    cnt = np.empty((rows, values.size), dtype=np.uint8)
+    ext = np.empty((rows, 2 * k), dtype=np.uint8)
+    lo, hi, size = np.empty((3, count), dtype=np.uint8)
     for start in range(0, count, rows):
         block = subsets(start, min(start + rows, count))
         n = block.size
-        np.bitwise_and(masks, block[:, None], out=buf[:n])
+        np.bitwise_and(values, block[:, None], out=buf[:n])
         np.bitwise_count(buf[:n], out=cnt[:n])
-        cnt[:n].min(axis=1, out=lo[start:start + n])
-        cnt[:n].max(axis=1, out=hi[start:start + n])
+        for reduce, out in ((np.minimum, lo), (np.maximum, hi)):
+            reduce.reduceat(cnt[:n], starts, axis=1, out=ext[:n])
+            np.add(ext[:n, :k], ext[:n, k:], out=ext[:n, :k])
+            reduce.reduce(ext[:n, :k], axis=1, out=out[start:start + n])
         np.bitwise_count(block, out=size[start:start + n])
     return lo, hi, size
 

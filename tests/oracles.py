@@ -5,9 +5,10 @@ package code: inverses come from hand-rolled Gauss-Jordan elimination,
 eigenvalues from characteristic-polynomial roots, eigenvectors from cyclic
 Jacobi rotations, determinants from cofactor expansion, subset optima from
 exhaustive enumeration, set-system ranges from Python sets instead of
-bitmasks, and the certificate replay one step at a time instead of in
-stacked chunks. Slow and simple on purpose; tests compare the fast paths
-against these.
+bitmasks, set-system extremes by popcounting every point instead of split
+masks, resolvents by chained rank-one downdates, and the certificate replay
+one step at a time instead of in stacked chunks. Slow and simple on purpose;
+tests compare the fast paths against these.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import itertools
 
 import numpy as np
 
-from framesel.hermitian import EigenSystem, outer_product_accumulate
+from framesel.hermitian import EigenSystem, outer_product_accumulate, resolvent_rank_one_downdate
 from framesel.selector import _advance, _gap, _potential
+
+_KATZ_BLOCK_BYTES = 1 << 18  # count_extremes_all_points' AND buffer per block of subsets
 
 
 class ConvergenceError(RuntimeError):
@@ -225,6 +228,22 @@ def replay_per_step(F, order, values):
         eigenvalues = eigenvalues_next
 
 
+def composed_resolvent_inverse(a: float, vectors: np.ndarray) -> np.ndarray:
+    """(aI - sum_i v_i (x) v_i)^{-1} built by chained rank-one downdates.
+
+    Cross-check path for the eigenbasis evaluation used elsewhere: starts
+    from (aI)^{-1} and folds in one vector at a time.
+    """
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    if vectors.ndim != 2:
+        raise ValueError("expected a (count, dim) array of row vectors")
+    k = vectors.shape[1]
+    Rinv = np.eye(k, dtype=np.complex128) / a
+    for v in vectors:
+        Rinv = resolvent_rank_one_downdate(Rinv, v)
+    return Rinv
+
+
 def lambda_max_by_subset(vectors: np.ndarray, subset) -> float:
     """Top eigenvalue of the rank-one sum over 0-based rows of ``vectors``."""
     vs = vectors[list(subset)]
@@ -285,3 +304,29 @@ def dichotomy_by_sets(N: int, points, subsets) -> dict:
     tally["violations"] = tuple(tally["violations"][:32])
     tally["closed_form_mismatches"] = tuple(tally["closed_form_mismatches"][:32])
     return tally
+
+
+def count_extremes_all_points(masks: np.ndarray, subsets, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per subset: min and max over the points of |A intersect S|, and |S|, as uint8.
+
+    The direct route against ``katz._count_extremes``'s split masks: every
+    subset is ANDed with every point and popcounted, and each row reduced.
+    ``subsets(start, stop)`` gives subsets start..stop - 1 as masks of
+    ``masks.dtype``; they go in blocks whose AND with every point fills
+    about ``_KATZ_BLOCK_BYTES``. ``masks`` is only read.
+    """
+    rows = max(1, _KATZ_BLOCK_BYTES // max(1, masks.nbytes))
+    buf = np.empty((rows, masks.size), dtype=masks.dtype)
+    cnt = np.empty((rows, masks.size), dtype=np.uint8)
+    lo = np.empty(count, dtype=np.uint8)
+    hi = np.empty(count, dtype=np.uint8)
+    size = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, rows):
+        block = subsets(start, min(start + rows, count))
+        n = block.size
+        np.bitwise_and(masks, block[:, None], out=buf[:n])
+        np.bitwise_count(buf[:n], out=cnt[:n])
+        cnt[:n].min(axis=1, out=lo[start:start + n])
+        cnt[:n].max(axis=1, out=hi[start:start + n])
+        np.bitwise_count(block, out=size[start:start + n])
+    return lo, hi, size

@@ -9,3 +9,10 @@ def test_all_names_resolve_once_and_star_import_binds_them():
     namespace = {}
     exec("from framesel import *", namespace)
     assert set(framesel.__all__) <= namespace.keys()
+
+
+def test_cross_checks_that_only_tests_call_are_not_exported():
+    # they live in tests/oracles.py
+    for name in ("composed_resolvent_inverse", "jacobi_eigh"):
+        assert name not in framesel.__all__
+        assert not hasattr(framesel, name) and not hasattr(framesel.hermitian, name)

@@ -9,7 +9,6 @@ from framesel import (
     BarrierError,
     EigenSystem,
     chebyshev_sum_bound,
-    composed_resolvent_inverse,
     eigh,
     hermitian_defect,
     outer_product_accumulate,
@@ -21,6 +20,7 @@ from framesel import (
 import oracles
 from oracles import (
     ConvergenceError,
+    composed_resolvent_inverse,
     determinant_cofactor,
     eigenvalues_by_charpoly,
     gauss_jordan_inverse,

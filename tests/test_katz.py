@@ -20,7 +20,7 @@ from framesel import (
 )
 from framesel import katz
 from framesel.cli import main
-from oracles import dichotomy_by_sets
+from oracles import count_extremes_all_points, dichotomy_by_sets
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -51,16 +51,54 @@ def tally(report):
     )}
 
 
+def sampled_draws(N, trials, seed):
+    """The subsets sampled mode checks, as masks: its documented uniform draw."""
+    return np.random.default_rng(seed).integers(0, 1 << 2 * N, size=trials, dtype=np.uint64)
+
+
 def drawn_subsets(N, trials, seed):
-    """The subsets sampled mode checks: its documented uniform draw, decoded to sets."""
-    draws = np.random.default_rng(seed).integers(0, 1 << 2 * N, size=trials, dtype=np.uint64)
-    return [ground_set(s, 2 * N) for s in draws]
+    """The subsets sampled mode checks, decoded to sets."""
+    return [ground_set(s, 2 * N) for s in sampled_draws(N, trials, seed)]
 
 
 def stray_bit_system():
     """build_katz(3)'s points, with bits above the ground set switched on."""
     stray = np.uint64(0b1011 << 6) | np.uint64(1 << 63)
     return system_of(3, build_katz(3).masks | stray)
+
+
+def wide_masks():
+    """N = 17 points as ints: 34 ground elements, and points that use elements 33 and 34."""
+    N, rng = 17, np.random.default_rng(11)
+    masks = [sum(1 << int(e) for e in rng.choice(2 * N, N, replace=False)) for _ in range(120)]
+    return masks + [(0b11 << 32) | ((1 << 15) - 1), (1 << 33) | ((1 << 16) - 1)]
+
+
+def product_system(N, seed, pairs):
+    """Points (h << N) | l over a few products H x L of random high and low parts, shuffled.
+
+    Each pair in ``pairs`` gives (|H|, |L|), so several high parts share one
+    set of low parts; a part may repeat, which duplicates points.
+    """
+    rng = np.random.default_rng(seed)
+    masks = []
+    for h_size, l_size in pairs:
+        highs, lows = rng.integers(0, 1 << N, h_size), rng.integers(0, 1 << N, l_size)
+        masks += [(int(h) << N) | int(l) for h in highs for l in lows]
+    return system_of(N, rng.permutation(masks))
+
+
+def hand_built_systems():
+    """Seeded systems that no symmetry of build_katz describes."""
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 1 << 10, 40)
+    yield "duplicated", system_of(5, np.concatenate([base, base[rng.integers(0, 40, 25)], base[:3]]))
+    yield "shared-low-sets", product_system(5, 6, [(6, 4), (3, 7), (1, 1)])
+    # one product less five points: groups whose low parts differ from a shared set by one
+    yield "almost-shared", system_of(5, product_system(5, 7, [(4, 6), (7, 3)]).masks[5:])
+    # every group by high part has its own low part: one point per group, the costliest layout
+    yield "all-groups-distinct", system_of(5, (rng.permutation(32) << 5) | rng.permutation(32))
+    yield "random-popcounts", system_of(6, rng.integers(0, 1 << 12, 300))
 
 
 class TestConstruction:
@@ -165,7 +203,7 @@ class TestSubsetSums:
 
 
 class TestDichotomy:
-    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 8])
     def test_exhaustive_pass(self, N):
         report = dichotomy_check(build_katz(N), mode="exhaustive")
         assert report.passed
@@ -205,6 +243,15 @@ class TestDichotomy:
         for trials in (0, -1):
             with pytest.raises(ValueError):
                 dichotomy_check(build_katz(3), mode=mode, trials=trials)
+
+    @pytest.mark.parametrize("check", [
+        lambda system: dichotomy_check(system),
+        lambda system: dichotomy_check(system, mode="sampled", trials=10),
+        lambda system: subset_sum_range(system, (1, 2)),
+    ])
+    def test_rejects_a_system_without_points(self, check):
+        with pytest.raises(ValueError, match="empty point set"):
+            check(system_of(3, []))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -270,10 +317,7 @@ class TestDichotomyAgainstSets:
         assert report == dichotomy_check(build_katz(3), mode=mode, trials=300, seed=4)
 
     def test_sampled_masks_wider_than_32_bits(self):
-        # N = 17: the ground set has 34 elements, and points use elements 33 and 34
-        N, rng = 17, np.random.default_rng(11)
-        masks = [sum(1 << int(e) for e in rng.choice(2 * N, N, replace=False)) for _ in range(120)]
-        masks += [(0b11 << 32) | ((1 << 15) - 1), (1 << 33) | ((1 << 16) - 1)]
+        N, masks = 17, wide_masks()
         system = system_of(N, masks)
         assert katz._narrowed_masks(system).dtype == np.uint64
         report = dichotomy_check(system, mode="sampled", trials=400, seed=9)
@@ -283,6 +327,45 @@ class TestDichotomyAgainstSets:
 
     def test_katz_masks_narrow_to_32_bits(self):
         assert katz._narrowed_masks(build_katz(10)).dtype == np.uint32
+
+
+class TestSplitKernelAgainstAllPoints:
+    """The split-mask kernel's (lo, hi, |S|) per subset equal the all-points popcount's."""
+
+    def check(self, system, draws=None):
+        """Both kernels on the same subsets: every one, or ``draws``."""
+        masks = katz._narrowed_masks(system)
+        subsets = np.arange(1 << system.ground_size, dtype=masks.dtype) if draws is None else draws.astype(masks.dtype)
+
+        def take(start, stop):
+            return subsets[start:stop]
+
+        want = count_extremes_all_points(masks.copy(), take, subsets.size)
+        got = katz._count_extremes(masks, take, subsets.size, system.N)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.uint8
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_katz_exhaustive(self, N):
+        self.check(build_katz(N))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_katz_n10_sampled(self, seed):
+        self.check(build_katz(10), sampled_draws(10, 1000, seed))
+
+    def test_stray_bits_and_doctored_points(self):
+        self.check(stray_bit_system())
+        self.check(stray_bit_system(), sampled_draws(3, 300, 4))
+        self.check(system_of(2, [0b0011, 0b1100]))
+
+    def test_masks_wider_than_32_bits(self):
+        self.check(system_of(17, wide_masks()), sampled_draws(17, 400, 9))
+
+    @pytest.mark.parametrize("system", [pytest.param(system, id=name) for name, system in hand_built_systems()])
+    def test_hand_built(self, system):
+        self.check(system)
+        self.check(system, sampled_draws(system.N, 200, 8))
 
 
 class TestInputsAreNotMutated:
