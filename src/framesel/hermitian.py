@@ -16,24 +16,18 @@ from .errors import BarrierError
 _HERMITIAN_ATOL = 1e-12  # largest conjugate-symmetry defect eigh accepts, absolute
 
 
-def hermitian_defect(T: np.ndarray) -> float:
-    """Largest entrywise deviation of T from its conjugate transpose."""
-    T = np.asarray(T)
+def require_hermitian(T: np.ndarray) -> np.ndarray:
+    """Validate a nonempty square T's conjugate symmetry within ``_HERMITIAN_ATOL``; return a symmetrized copy.
+
+    One pass on valid input: the defect, max |T - T*| entrywise, is NaN or Inf where an entry is.
+    """
+    T = np.asarray(T, dtype=np.complex128)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
     if T.size == 0:
         raise ValueError("empty matrix")
     with np.errstate(invalid="ignore"):  # inf - inf gives a NaN defect, not a warning
-        return float(np.max(np.abs(T - T.conj().T)))
-
-
-def require_hermitian(T: np.ndarray) -> np.ndarray:
-    """Validate conjugate symmetry within ``_HERMITIAN_ATOL`` and return a symmetrized copy.
-
-    One pass on valid input: a NaN or Inf entry makes the defect NaN or Inf.
-    """
-    T = np.asarray(T, dtype=np.complex128)
-    defect = hermitian_defect(T)
+        defect = float(np.max(np.abs(T - T.conj().T)))
     if not defect <= _HERMITIAN_ATOL:
         if not np.isfinite(T).all():
             raise ValueError("matrix contains NaN or Inf")

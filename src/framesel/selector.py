@@ -101,21 +101,27 @@ _POTENTIAL_SLACK = 1e-10   # allowed potential rise per step
 _GAP_FLOOR = 1e-14         # smallest usable potential gap
 
 
-def _potential(eigenvalues: np.ndarray, a: float) -> float:
-    if a <= eigenvalues[-1]:
-        raise BarrierError(f"barrier violated: a = {a} <= lambda_max = {eigenvalues[-1]}")
-    return float((1.0 / (a - eigenvalues)).sum())  # the method skips np.sum's dispatch
+def _potential(eigenvalues: np.ndarray, a) -> float | np.ndarray:
+    stacked = eigenvalues.ndim > 1
+    if (a <= eigenvalues[:, -1]).any() if stacked else a <= eigenvalues[-1]:
+        raise BarrierError(f"barrier violated: a = {a} <= lambda_max = {eigenvalues[..., -1]}")
+    phi = (1.0 / ((a[:, None] if stacked else a) - eigenvalues)).sum(-1)  # the method skips np.sum's dispatch
+    return phi if stacked else float(phi)
 
 
 # The barrier step from (T, a, a'), shared by every caller: the potential gap,
-# U over a block of rows, and the update T -> T + v (x) v with its two checks.
+# U over a block of rows, and the update T -> T + v (x) v with its two checks. Phi and the gap also take a
+# stack of spectra (c, k) with (c,) arrays a, a_next: a sum along each contiguous row keeps the one-spectrum bits.
 
-def _gap(eigenvalues: np.ndarray, a: float, a_next: float) -> float:
+def _gap(eigenvalues: np.ndarray, a, a_next) -> float | np.ndarray:
     # Phi^a - Phi^{a_next} without cancellation: sum (a_next - a)/((a - l)(a_next - l))
-    gap = float((a_next - a) * (1.0 / ((a - eigenvalues) * (a_next - eigenvalues))).sum())
-    if gap <= _GAP_FLOOR:
-        raise BarrierError(f"potential gap {gap:.3e} at or below the floor {_GAP_FLOOR:.1e}")
-    return gap
+    stacked = eigenvalues.ndim > 1
+    col, col_next = (a[:, None], a_next[:, None]) if stacked else (a, a_next)
+    gap = (a_next - a) * (1.0 / ((col - eigenvalues) * (col_next - eigenvalues))).sum(-1)
+    low = gap <= _GAP_FLOOR
+    if low.any() if stacked else low:  # name the first
+        raise BarrierError(f"potential gap {np.ravel(gap)[np.argmax(low)]:.3e} at or below the floor {_GAP_FLOOR:.1e}")
+    return gap if stacked else float(gap)
 
 
 def _weights(eigenvalues: np.ndarray, a_next: float, gap: float) -> np.ndarray:
@@ -536,24 +542,23 @@ _REPLAY_CHUNK_BYTES = 256 * 1024  # the T_j of one replay chunk: 256 steps at k 
 
 
 def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterator[tuple]:
-    """Rebuild T_j = T_{j-1} + v (x) v for the 1-based ``order`` against the barriers ``values``.
+    """Rebuild T_j = T_{j-1} + v (x) v for the 1-based ``order`` against the barriers ``values``, a chunk at a time.
 
-    Yields (U, spectrum of T_j, Phi^{a_j}(T_j), failure, T_j) per step, as ``_advance`` gives
-    the last two; T_j is a view that a later chunk overwrites. U = ||x||^2 / gap + Re <v, x>
-    with x = (a_j I - T_{j-1})^{-1} v, since that resolvent is Hermitian. A chunk's T_j are
-    built by in-place adds in selection order; their spectra (eigvalsh of the symmetrized
-    T_j) and their solves take one stacked LAPACK call each, with the bits of one call per step.
+    Yields per chunk, over its replayed steps: U, the spectra of the T_j, Phi^{a_j}(T_j) for each step that does not
+    end the replay, ``_advance``'s failure texts by step number, and the T_j, views that a later chunk overwrites.
+    U = ||x||^2 / gap + Re <v, x> with x = (a_j I - T_{j-1})^{-1} v, since that resolvent is Hermitian. The T_j are
+    built by in-place adds in selection order; their spectra (eigvalsh of the symmetrized T_j), solves and vecdots
+    take one stacked call each, with the bits of one call per step, and gaps, Phi and checks are array expressions.
 
-    The replay ends at the first step whose norm reaches its barrier or, under
-    ``verify_certificate``'s errstate, whose T_j overflows: that step yields an infinite
-    spectrum, no Phi, and T_{j-1}. Nothing past it is solved.
+    The replay ends at the first step whose norm reaches its barrier or, under ``verify_certificate``'s errstate,
+    whose T_j overflows: that step yields an infinite spectrum, no Phi, and T_{j-1}. Nothing past it is solved.
     """
     k, order = F.k, np.asarray(order, dtype=np.int64)
     c = max(1, _REPLAY_CHUNK_BYTES // (16 * k * k))
     sums = np.zeros((c + 1, k, k), dtype=np.complex128)  # T_lo, ..., T_{lo+c}
     work = np.empty((c, k, k), dtype=np.complex128)      # the symmetrized T_j, then a_j I - T_{j-1}
-    eigenvalues = np.zeros(k)
-    phi = _potential(eigenvalues, float(values[0]))
+    eigenvalues = np.zeros((1, k))                        # the spectrum of T_lo
+    phi = _potential(eigenvalues[0], float(values[0]))
     for lo in range(0, len(order), c):
         vs = F.vectors[order[lo : lo + c] - 1]
         T, stop, error = sums[1 : len(vs) + 1], len(vs), None
@@ -572,34 +577,37 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterato
         except FloatingPointError as exc:  # likewise for the symmetrized T_j
             stop, error = int(np.isfinite(sym).all(axis=(1, 2)).argmin()), exc
         spectra = np.linalg.eigvalsh(np.multiply(sym[:stop], 0.5, out=sym[:stop]))
-        crossed = np.flatnonzero(spectra[:, -1] >= values[lo + 1 : lo + stop + 1])
+        a = values[lo : lo + len(vs) + 1]
+        crossed = np.flatnonzero(spectra[:, -1] >= a[1 : stop + 1])
         end = min(int(crossed[0]) if crossed.size else stop, len(vs) - 1) + 1  # the steps to replay
         shifted = np.negative(sums[:end], out=work[:end])  # eigvalsh has copied sym
-        shifted.reshape(end, k * k)[:, :: k + 1] += values[lo + 1 : lo + end + 1, None]
+        shifted.reshape(end, k * k)[:, :: k + 1] += a[1 : end + 1, None]
         xs = np.linalg.solve(shifted, vs[:end, :, None])[..., 0]
-        for i, (x, v) in enumerate(zip(xs, vs)):
-            a, a_next = float(values[lo + i]), float(values[lo + i + 1])
-            u = float(np.vdot(x, x).real) / _gap(eigenvalues, a, a_next) + float(np.vdot(v, x).real)
-            if i == stop:
-                yield u, np.full(k, np.inf), None, f"T_{lo + i + 1} is not finite ({error})", sums[i]
-                return
-            phi, failure = _advance(phi, spectra[i], a_next)
-            yield u, spectra[i], phi, failure, T[i]
-            if phi is None:
-                return
-            eigenvalues = spectra[i]
-        sums[0] = sums[len(vs)]
+        gaps = _gap(np.concatenate((eigenvalues, spectra[: end - 1])), a[:end], a[1 : end + 1])
+        with np.errstate(over="ignore", invalid="ignore"):  # as np.vdot's sums, which no errstate reaches
+            us = np.vecdot(xs, xs).real / gaps + np.vecdot(vs[:end], xs).real
+        last = end - 1 if crossed.size or end > stop else end  # the steps that keep the replay going
+        phis = _potential(spectra[:last], a[1 : last + 1])
+        before = np.append(phi, phis)  # Phi of T_{j-1} at a_{j-1}
+        rows = np.flatnonzero(np.append(phis > before[:-1] + _POTENTIAL_SLACK, crossed.size > 0))  # rise or crossing
+        failures = {lo + i + 1: _advance(float(before[i]), spectra[i], float(a[i + 1]))[1] for i in rows}
+        if end > stop:  # yield T_{j-1} for the T_j that overflowed
+            spectra, sums[end] = np.concatenate((spectra, np.full((1, k), np.inf))), sums[end - 1]
+            failures[lo + end] = f"T_{lo + end} is not finite ({error})"
+        yield us, spectra[:end], phis, failures, sums[1 : end + 1]
+        if last < end:
+            return
+        eigenvalues, phi, sums[0] = spectra[end - 1 :], before[-1], sums[len(vs)]
 
 
 def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> CertificateReport:
     """Recompute every certificate claim from the frame alone.
 
-    Replays the recorded choices step by step against the formula's
-    schedule: feasibility of each recorded U, the strict norm bound at every
-    step, potential monotonicity from the exact start k sqrt(N), agreement of
-    the recorded numbers with recomputed ones, and the final set, spectrum,
-    and bound. A step whose norm reaches its barrier or whose T_j overflows
-    ends the replay; the report then fails and names it instead of raising.
+    Replays the recorded choices against the formula's schedule, a chunk of steps at a time: feasibility
+    of each recorded U, the strict norm bound at every step, potential monotonicity from the exact start
+    k sqrt(N), agreement of the recorded numbers with recomputed ones, and the final set, spectrum and
+    bound. A step whose norm reaches its barrier or whose T_j overflows ends the replay; the report then
+    fails and names it instead of raising.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -631,33 +639,33 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     if not (count_ok and set_ok):
         return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
 
-    T = np.zeros((F.k, F.k), dtype=np.complex128)  # T_0, which the final factorization takes if no step replays
-    min_margin, min_step, stopped = math.inf, None, None
+    no_step = (np.empty(0), np.empty((0, F.k)), np.empty(0), {}, np.zeros((1, F.k, F.k), dtype=np.complex128))  # T_0
+    with np.errstate(over="raise", invalid="raise"):  # _replay, run to its end here, stops at a T_j that overflows
+        us, spectra, phis, failed, T = zip(no_step, *_replay(F, chosen_order, expected.values))
+    us, spectra, phis, T = np.concatenate(us), np.concatenate(spectra), np.concatenate(phis), T[-1][-1]
+    failures = {j: text for chunk in failed for j, text in chunk.items()}
+    lams, r, p = spectra[:, -1], len(us), len(phis)  # r steps replayed, p with a Phi: all but one that stopped
+    margins = expected.values[1 : r + 1] - lams
+    min_step = int(margins.argmin()) + 1 if r else None  # the first of equal margins
+    min_margin = float(margins[min_step - 1]) if r else math.inf
+    recorded = np.array([(s.feasibility, s.lambda_max, s.potential) for s in cert.steps[:r]], float).reshape(r, 3)
+    flags = np.zeros((r, 6), dtype=bool)  # in message order: step number, U, slack, lambda, Phi, failure
+    flags[:, 0] = [s.j != j for j, s in enumerate(cert.steps[:r], 1)]
+    with np.errstate(invalid="ignore"):  # an in-memory record of inf against an infinite U, as Python floats
+        for col, got, want in ((1, us, recorded[:, 0]), (3, lams[:p], recorded[:p, 1]), (4, phis, recorded[:p, 2])):
+            flags[: len(got), col] = np.abs(got - want) > 1e-8 * np.maximum(1.0, np.abs(got))
+    flags[:, 2] = us > 1.0 + _FEASIBILITY_SLACK
+    flags[np.asarray(list(failures), dtype=np.int64) - 1, 5] = True
     details = []
-    replay = _replay(F, chosen_order, expected.values)
-    with np.errstate(over="raise", invalid="raise"):  # also in the generator the loop resumes; _replay stops there
-        for (j, step), (u, eigenvalues, phi, failure, T) in zip(enumerate(cert.steps, 1), replay):
-            if step.j != j:
-                details.append(f"step {j}: recorded as step {step.j}")
-            if abs(u - step.feasibility) > 1e-8 * max(1.0, abs(u)):
-                details.append(f"step {j}: recorded U {step.feasibility} != recomputed {u}")
-            if u > 1.0 + _FEASIBILITY_SLACK:
-                details.append(f"step {j}: U = {u} exceeds 1 + slack")
-            lam = float(eigenvalues[-1])
-            margin = float(expected.values[j]) - lam
-            if margin < min_margin:
-                min_margin, min_step = margin, j
-            if phi is None:
-                # the norm crossed its barrier or T_j overflowed: nothing after it can replay, so name it first
-                details.insert(0, f"step {j}: {failure}")
-                stopped = f"replay stopped at step {j} of {n}"
-                break
-            if abs(lam - step.lambda_max) > 1e-8 * max(1.0, abs(lam)):
-                details.append(f"step {j}: recorded lambda_max {step.lambda_max} != recomputed {lam}")
-            if abs(phi - step.potential) > 1e-8 * max(1.0, abs(phi)):
-                details.append(f"step {j}: recorded potential {step.potential} != recomputed {phi}")
-            if failure is not None:
-                details.append(f"step {j}: {failure}")
+    for i in np.flatnonzero(flags.any(axis=1)):  # messages for flagged steps only, in step order
+        step, u, lam, phi = cert.steps[i], float(us[i]), float(lams[i]), float(phis[i]) if i < p else None
+        texts = (f"recorded as step {step.j}", f"recorded U {step.feasibility} != recomputed {u}",
+                 f"U = {u} exceeds 1 + slack", f"recorded lambda_max {step.lambda_max} != recomputed {lam}",
+                 f"recorded potential {step.potential} != recomputed {phi}", failures.get(i + 1))
+        details += [f"step {i + 1}: {text}" for text, bad in zip(texts, flags[i]) if bad]
+    stopped = f"replay stopped at step {r} of {n}" if p < r else None
+    if stopped:  # the norm crossed its barrier or T_j overflowed: nothing after it can replay, so name it first
+        details.insert(0, details.pop())
     steps_ok = not details
     check("steps", steps_ok, "all per-step claims replay" if steps_ok else "; ".join(details[:4]))
 

@@ -16,3 +16,9 @@ def test_cross_checks_that_only_tests_call_are_not_exported():
     for name in ("composed_resolvent_inverse", "jacobi_eigh"):
         assert name not in framesel.__all__
         assert not hasattr(framesel, name) and not hasattr(framesel.hermitian, name)
+
+
+def test_folded_helpers_are_gone():
+    # the Hermitian defect is measured inside require_hermitian, which reports it in its ValueError
+    assert "hermitian_defect" not in framesel.__all__
+    assert not hasattr(framesel, "hermitian_defect") and not hasattr(framesel.hermitian, "hermitian_defect")

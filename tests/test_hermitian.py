@@ -1,5 +1,6 @@
 """Hermitian core: eigensolvers, resolvents, rank-one updates, sum bound."""
 
+import re
 import warnings
 
 import numpy as np
@@ -10,12 +11,12 @@ from framesel import (
     EigenSystem,
     chebyshev_sum_bound,
     eigh,
-    hermitian_defect,
     outer_product_accumulate,
     resolvent_quadratic_form,
     resolvent_rank_one_downdate,
     sherman_morrison_resolvent_update,
 )
+from framesel.hermitian import _HERMITIAN_ATOL, require_hermitian
 
 import oracles
 from oracles import (
@@ -33,13 +34,22 @@ from oracles import (
 
 class TestHermitianBasics:
     def test_defect_of_hermitian_is_zero(self):
+        # a Hermitian input passes and comes back unchanged
         rng = np.random.default_rng(0)
         T = random_hermitian(rng, 5)
-        assert hermitian_defect(T) == 0.0
+        assert np.array_equal(require_hermitian(T), T)
 
     def test_defect_measures_asymmetry(self):
         T = np.array([[1.0, 2.0], [2.5, 3.0]], dtype=np.complex128)
-        assert hermitian_defect(T) == pytest.approx(0.5)
+        with pytest.raises(ValueError, match=r"not Hermitian: defect 5\.000e-01 exceeds 1\.000e-12"):
+            require_hermitian(T)
+        # the defect is the largest entrywise |T - T*|, accepted up to the tolerance itself
+        T = np.eye(3, dtype=np.complex128)
+        T[2, 0] = 1j * _HERMITIAN_ATOL
+        np.testing.assert_array_equal(require_hermitian(T), 0.5 * (T + T.conj().T))
+        T[2, 0], T[1, 0] = 0.0, 1.25 * _HERMITIAN_ATOL
+        with pytest.raises(ValueError, match=r"defect 1\.250e-12 exceeds"):
+            require_hermitian(T)
 
     def test_defect_of_infinite_entry_is_nan_without_warning(self):
         # the infinite diagonal entry meets its own mirror: inf - inf
@@ -47,11 +57,17 @@ class TestHermitianBasics:
         T[0, 0] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(hermitian_defect(T))
+            with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+                require_hermitian(T)
 
     def test_defect_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            hermitian_defect(np.zeros((2, 3)))
+        for shape in ((2, 3), (3,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+                require_hermitian(np.zeros(shape))
+
+    def test_defect_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty matrix"):
+            require_hermitian(np.zeros((0, 0)))
 
     def test_accumulate_matches_sum(self):
         rng = np.random.default_rng(1)

@@ -61,19 +61,141 @@ def bits(value):
     return value if value is None or isinstance(value, str) else np.asarray(value).tobytes()
 
 
+def replay_steps(F, steps, values):
+    """``selector._replay``'s chunks flattened into the per-step oracle's (U, spectrum, Phi, failure, T_j) tuples."""
+    lo = 0
+    for us, spectra, phis, failures, sums in selector._replay(F, steps, values):
+        assert len(us) == len(spectra) == len(sums) and len(phis) in (len(us), len(us) - 1)
+        assert set(failures) <= set(range(lo + 1, lo + len(us) + 1))
+        for i in range(len(us)):
+            yield float(us[i]), spectra[i], float(phis[i]) if i < len(phis) else None, failures.get(lo + i + 1), sums[i]
+        lo += len(us)
+
+
 def replays_alike(F, steps, values):
     """Assert that ``selector._replay`` yields the per-step oracle's bits; return the steps replayed."""
-    chunked = selector._replay(F, steps, values)
+    chunked = replay_steps(F, steps, values)
     j = 0
     for want in replay_per_step(F, steps, values):
         got = next(chunked)
         j += 1
-        assert type(got[0]) is type(want[0]) and type(got[2]) is type(want[2])
+        assert type(got[2]) is type(want[2])
         assert [bits(x) for x in got] == [bits(x) for x in want], f"step {j}"
         if want[2] is None:  # a crossing or an overflow: the oracle has no end of its own
             break
     assert next(chunked, None) is None
     return j
+
+
+# Steps 4 and 5 of this order have U > 1 and a rising Phi, and its norm stays under the barriers.
+INFEASIBLE_ORDER = [1, 19, 8, 4, 23, 30, 22, 16, 11, 29]
+# Edits to recorded steps 4 and 5 of modulated_harmonic_frame(4, 9, seed=1)'s 10-step certificate;
+# "U-exceeds" records INFEASIBLE_ORDER's own values, so it fails on U and Phi alone.
+REPORT_CASES = {
+    "step-number": {4: dict(j=40), 5: dict(j=50)},
+    "U": {4: dict(feasibility=0.5), 5: dict(feasibility=0.25)},
+    "U-exceeds": {},
+    "U-exceeds-and-recorded-U": {4: dict(feasibility=0.5)},
+    "lambda": {4: dict(lambda_max=0.25), 5: dict(lambda_max=0.5)},
+    "phi": {4: dict(potential=12.0), 5: dict(potential=13.0)},
+    "mixed": {4: dict(potential=12.0), 5: dict(j=50, feasibility=0.25, lambda_max=0.5, potential=13.0)},
+    # inside the 1e-8 tolerance at step 4, outside it at step 5 (Phi is near 10, so its tolerance is relative)
+    "tolerance": {
+        4: dict(feasibility=lambda u: u + 5e-9, lambda_max=lambda x: x - 5e-9, potential=lambda x: x * (1 + 5e-9)),
+        5: dict(feasibility=lambda u: u - 2e-8, lambda_max=lambda x: x + 2e-8, potential=lambda x: x * (1 - 2e-8)),
+    },
+    "crossing": None,  # harmonic_frame(2, 25) with steps 1..20 in index order: it crosses at step 19
+}
+# (the steps check's detail, min_step_margin.hex(), min_margin_step), as the replay one step at a time reported them
+PINNED_REPORTS = {
+    "step-number": (
+        "step 4: recorded as step 40; "
+        "step 5: recorded as step 50",
+        "0x1.0e38e38e38e39p-2",
+        1,
+    ),
+    "U": (
+        "step 4: recorded U 0.5 != recomputed 0.6428111149280838; "
+        "step 5: recorded U 0.25 != recomputed 0.7883424604853472",
+        "0x1.0e38e38e38e39p-2",
+        1,
+    ),
+    "U-exceeds": (
+        "step 4: U = 1.0551156915490945 exceeds 1 + slack; "
+        "step 4: potential rose: 10.954372676908287 > 10.865538367214127 (excess 8.883e-02); "
+        "step 5: U = 1.232636892741129 exceeds 1 + slack; "
+        "step 5: potential rose: 11.371305638714825 > 10.954372676908287 (excess 4.169e-01)",
+        "0x1.a121ecb2f56dcp-3",
+        5,
+    ),
+    "U-exceeds-and-recorded-U": (
+        "step 4: recorded U 0.5 != recomputed 1.0551156915490945; "
+        "step 4: U = 1.0551156915490945 exceeds 1 + slack; "
+        "step 4: potential rose: 10.954372676908287 > 10.865538367214127 (excess 8.883e-02); "
+        "step 5: U = 1.232636892741129 exceeds 1 + slack",
+        "0x1.a121ecb2f56dcp-3",
+        5,
+    ),
+    "lambda": (
+        "step 4: recorded lambda_max 0.25 != recomputed 0.14911334925840763; "
+        "step 5: recorded lambda_max 0.5 != recomputed 0.20642491569174973",
+        "0x1.0e38e38e38e39p-2",
+        1,
+    ),
+    "phi": (
+        "step 4: recorded potential 12.0 != recomputed 10.347988487917608; "
+        "step 5: recorded potential 13.0 != recomputed 10.063761495018811",
+        "0x1.0e38e38e38e39p-2",
+        1,
+    ),
+    "mixed": (
+        "step 4: recorded potential 12.0 != recomputed 10.347988487917608; "
+        "step 5: recorded as step 50; "
+        "step 5: recorded U 0.25 != recomputed 0.7883424604853472; "
+        "step 5: recorded lambda_max 0.5 != recomputed 0.20642491569174973",
+        "0x1.0e38e38e38e39p-2",
+        1,
+    ),
+    "tolerance": (
+        "step 5: recorded U 0.7883424404853472 != recomputed 0.7883424604853472; "
+        "step 5: recorded lambda_max 0.20642493569174966 != recomputed 0.20642491569174973; "
+        "step 5: recorded potential 10.063761293743582 != recomputed 10.063761495018811",
+        "0x1.0e38e38e38e39p-2",
+        1,
+    ),
+    "crossing": (
+        "step 19: norm bound breached: lambda_max = 0.6761518690585737 >= a_next = 0.675 (margin -1.152e-03); "
+        "step 2: recorded U 0.7482649842271293 != recomputed 1.0230972122107882; "
+        "step 2: U = 1.0230972122107882 exceeds 1 + slack; "
+        "step 2: recorded lambda_max 0.04 != recomputed 0.07992106913713087",
+        "-0x1.2df49fbe4f000p-10",
+        19,
+    ),
+}
+
+
+def report_case(name):
+    """(frame, certificate) of ``REPORT_CASES[name]``."""
+    if REPORT_CASES[name] is None:
+        F = harmonic_frame(2, 25)
+        cert = select_subset(F, 20)
+        steps = [dataclasses.replace(s, index=j) for j, s in enumerate(cert.steps, 1)]
+        return F, dataclasses.replace(cert, steps=tuple(steps), indices=tuple(range(1, 21)))
+    F = modulated_harmonic_frame(4, 9, seed=1)
+    cert = select_subset(F, 10)
+    steps = list(cert.steps)
+    if name.startswith("U-exceeds"):
+        replay = replay_per_step(F, INFEASIBLE_ORDER, cert.schedule.values)
+        steps = [
+            dataclasses.replace(s, index=i, feasibility=u, lambda_max=float(spectrum[-1]), potential=phi)
+            for s, i, (u, spectrum, phi, _, _) in zip(steps, INFEASIBLE_ORDER, replay, strict=True)
+        ]
+        cert = dataclasses.replace(cert, indices=tuple(sorted(INFEASIBLE_ORDER)))
+    for j, fields in REPORT_CASES[name].items():
+        old = steps[j - 1]
+        fields = {key: value(getattr(old, key)) if callable(value) else value for key, value in fields.items()}
+        steps[j - 1] = dataclasses.replace(old, **fields)
+    return F, dataclasses.replace(cert, steps=tuple(steps))
 
 
 def count_calls(monkeypatch, module, name):
@@ -409,7 +531,7 @@ class TestReplay:
         values = cert.schedule.values
         T = np.zeros((F.k, F.k), dtype=np.complex128)
         eig = eigh(T)
-        replay = selector._replay(F, order(cert), values)
+        replay = replay_steps(F, order(cert), values)
         for j, (u, eigenvalues, phi, failure, _) in enumerate(replay, 1):
             a, a_next = values[j - 1], values[j]
             v = F.vectors[cert.steps[j - 1].index - 1]
@@ -484,7 +606,7 @@ class TestReplay:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        steps = list(selector._replay(F, list(range(1, 21)), values))
+        steps = list(replay_steps(F, list(range(1, 21)), values))
         assert len(steps) == 19 and steps[-1][3].startswith("norm bound breached")
         assert sum(solved) == 19
 
@@ -513,7 +635,7 @@ class TestReplay:
         set_chunk(monkeypatch, F, 4)
         with np.errstate(over="raise", invalid="raise"):
             assert replays_alike(G, steps, cert.schedule.values) == j
-            *_, (u, spectrum, phi, message, T) = selector._replay(G, steps, cert.schedule.values)
+            *_, (u, spectrum, phi, message, T) = replay_steps(G, steps, cert.schedule.values)
         assert phi is None and message.startswith(failure)
         if "not finite" in failure:
             assert np.isinf(spectrum).all()
@@ -523,6 +645,69 @@ class TestReplay:
             report = verify_certificate(G, cert)
         assert report.failures()[0].startswith(f"steps: step {j}: {failure}")
         assert report.min_margin_step == j
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 3, 4], ids=["default", "1", "2", "3", "4"])
+    @pytest.mark.parametrize("name", list(REPORT_CASES))
+    def test_failure_reports_are_pinned(self, name, chunk, monkeypatch):
+        # every chunk size puts a chunk edge next to step 4 or 5, or next to the crossing at step 19
+        F, cert = report_case(name)
+        if chunk is not None:
+            set_chunk(monkeypatch, F, chunk)
+        report = verify_certificate(F, cert)
+        detail, margin, step = PINNED_REPORTS[name]
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert checks["steps"] == (False, detail)
+        assert (report.min_step_margin.hex(), report.min_margin_step) == (margin, step)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_potential_rises_anywhere_in_a_chunk_have_the_per_step_bits(self, chunk, monkeypatch):
+        # the rises at steps 4 and 5: the first and the middle of 4..6, or the last of 3..4 and the first of 5..6
+        F, cert = report_case("U-exceeds")
+        set_chunk(monkeypatch, F, chunk)
+        assert replays_alike(F, INFEASIBLE_ORDER, cert.schedule.values) == 10
+        replay = replay_steps(F, INFEASIBLE_ORDER, cert.schedule.values)
+        failures = {j: failure for j, (_, _, _, failure, _) in enumerate(replay, 1) if failure is not None}
+        assert list(failures) == [4, 5] and all(f.startswith("potential rose") for f in failures.values())
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("j", [4, 5, 6], ids=["step-4", "step-5", "step-6"])
+    @pytest.mark.parametrize(
+        "scale, failure",
+        [
+            (10.0, "norm bound breached"),
+            (1e200, "T_{j} is not finite (overflow encountered in multiply)"),
+            (6 * np.sqrt(1.2e308), "T_{j} is not finite (overflow encountered in add)"),  # in the symmetrization
+        ],
+        ids=["crossing", "overflow", "symmetrization-overflow"],
+    )
+    def test_a_stop_anywhere_in_a_chunk_has_the_per_step_bits(self, scale, failure, j, chunk, monkeypatch):
+        # at 3 steps per chunk, steps 4, 5 and 6 are the first, the middle and the last of a chunk
+        F = harmonic_frame(4, 9)
+        cert = select_subset(F, 10)
+        steps = order(cert)
+        vectors = F.vectors.copy()
+        vectors[steps[j - 1] - 1] *= scale
+        G = FrameFamily(k=F.k, N=F.N, vectors=vectors)
+        set_chunk(monkeypatch, F, chunk)
+        with np.errstate(over="raise", invalid="raise"):
+            assert replays_alike(G, steps, cert.schedule.values) == j
+        report = verify_certificate(G, cert)
+        assert report.failures()[0].startswith(f"steps: step {j}: {failure.format(j=j)}")
+        assert report.min_margin_step == j
+        checks = {name: detail for name, _, detail in report.checks}
+        assert checks["final-norm"] == f"replay stopped at step {j} of 10"
+
+    @pytest.mark.parametrize("chunk, chunks", [(None, 7), (64, 25)], ids=["256-steps", "64-steps"])
+    def test_the_replay_tail_runs_once_per_chunk(self, chunk, chunks, monkeypatch):
+        # 1600 steps at k = 8: a per-step tail would call _gap and _potential 1600 times
+        F = modulated_harmonic_frame(8, 400, seed=1)
+        cert = select_subset(F, F.m // 2)
+        if chunk is not None:
+            set_chunk(monkeypatch, F, chunk)
+        calls = {name: count_calls(monkeypatch, selector, name) for name in ("_gap", "_potential", "_advance")}
+        assert verify_certificate(F, cert).passed
+        counts = {name: len(made) for name, made in calls.items()}
+        assert counts == {"_gap": chunks, "_potential": chunks + 1, "_advance": 0}  # _advance only words failures
 
     def test_crossing_ends_the_replay_before_a_later_overflow_in_its_chunk(self, monkeypatch):
         # T_5 = 0.8e308 per entry crosses its barrier; the chunk builds T_6 before it sees that,
@@ -537,6 +722,6 @@ class TestReplay:
         set_chunk(monkeypatch, F, 4)
         with np.errstate(over="raise", invalid="raise"):
             assert replays_alike(G, steps, cert.schedule.values) == 5
-            *_, (u, spectrum, phi, message, T) = selector._replay(G, steps, cert.schedule.values)
+            *_, (u, spectrum, phi, message, T) = replay_steps(G, steps, cert.schedule.values)
         assert phi is None and message.startswith("norm bound breached")
 

@@ -1,6 +1,7 @@
 """Barrier schedule, feasibility, greedy selection, certificates."""
 
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -517,6 +518,20 @@ class TestVerification:
         assert math.isnan(report.final_margin)
         assert report.min_step_margin == -math.inf
         assert report.min_margin_step == 1
+
+    def test_infinite_record_against_an_infinite_u_is_reported_not_raised(self):
+        # v_1 of harmonic_frame(4, 9) is real, so at 1e200 its U is inf, not NaN; inf - inf flags nothing,
+        # as with Python floats, and raises nothing under warnings as errors
+        F = harmonic_frame(4, 9)
+        cert = select_subset(F, 10)
+        steps = (dataclasses.replace(cert.steps[0], feasibility=math.inf), *cert.steps[1:])
+        G = FrameFamily(k=F.k, N=F.N, vectors=F.vectors * 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_certificate(G, dataclasses.replace(cert, steps=steps))
+        assert report.failures()[0] == (
+            "steps: step 1: T_1 is not finite (overflow encountered in multiply); step 1: U = inf exceeds 1 + slack"
+        )
 
     def test_overflow_at_a_later_step_keeps_the_last_finite_sum(self, monkeypatch):
         F = harmonic_frame(4, 9)
