@@ -17,14 +17,13 @@ double.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
 from .errors import (
     BarrierError,
-    CertificateMismatchError,
-    FrameError,
     SelectionError,
     ToleranceBreachError,
 )
@@ -72,7 +71,7 @@ def _fmt(x: float) -> str:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "harmonic":
         if args.seed is not None:
-            raise UsageError("--seed applies only with --kind modulated")
+            raise ValueError("--seed applies only with --kind modulated")
         frame = harmonic_frame(args.k, args.N)
     else:
         seed = DEFAULT_SEED if args.seed is None else args.seed
@@ -113,18 +112,17 @@ def _sweep_rows(args: argparse.Namespace):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.N_list is None and args.N is None:
-        raise UsageError("sweep needs --N with an n-range, or --N-list with --ratio")
+        raise ValueError("sweep needs --N with an n-range, or --N-list with --ratio")
     if args.N_list is not None and (args.N is not None or args.n_min is not None or args.n_max is not None):
-        raise UsageError("--N-list uses --ratio; --N and an n-range apply only without it")
+        raise ValueError("--N-list uses --ratio; --N and an n-range apply only without it")
     if args.N_list is None:
         if args.n_min is None or args.n_max is None:
-            raise UsageError("sweep over one frame needs both --n-min and --n-max")
+            raise ValueError("sweep over one frame needs both --n-min and --n-max")
         if args.ratio is not None:
-            raise UsageError("--ratio applies only with --N-list; an n-range sets n directly")
+            raise ValueError("--ratio applies only with --N-list; an n-range sets n directly")
     elif args.ratio is not None and not 0.0 < args.ratio < 1.0:
-        raise UsageError(f"--ratio must lie strictly between 0 and 1, got {args.ratio}")
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
+        raise ValueError(f"--ratio must lie strictly between 0 and 1, got {args.ratio}")
+    with open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
         out.write(",".join(CSV_COLUMNS) + "\n")
         for frame, cert in _sweep_rows(args):
             comp_min, _ = complement_lower_bound(frame, cert)
@@ -141,17 +139,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 _fmt(comp_min),
             )
             out.write(",".join(row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
 def cmd_katz(args: argparse.Namespace) -> int:
     if not args.sampled and (args.trials is not None or args.seed is not None):
-        raise UsageError("--trials and --seed apply only with --sampled")
+        raise ValueError("--trials and --seed apply only with --sampled")
     if not args.sampled and args.N > _EXHAUSTIVE_MAX_N:
-        raise UsageError(
+        raise ValueError(
             f"exhaustive check over 2^{2 * args.N} subsets is out of reach for N = {args.N}; "
             f"pass --sampled (with --trials and --seed) instead"
         )
@@ -183,10 +178,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_OK
     print("certificate REJECTED")
     return EXIT_FAIL
-
-
-class UsageError(Exception):
-    pass
 
 
 def _positive_int(text: str) -> int:
@@ -271,9 +262,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -288,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return EXIT_FAIL
-    except (FrameError, CertificateMismatchError, ValueError) as exc:
+    except ValueError as exc:  # FrameError and CertificateMismatchError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -227,7 +227,7 @@ def barrier_push_check(T: np.ndarray, v: np.ndarray, a: float, a_next: float) ->
     ToleranceBreachError with the margins spelled out rather than passing
     silently. Returns (norm_ok, potential at a_next after the update).
     """
-    phi = _potential(eigh(T).eigenvalues, a)
+    phi = upper_potential(T, a)
     phi_after, failure = _advance(phi, eigh(outer_product_accumulate(T, v)).eigenvalues, a_next)
     if failure is not None:
         raise ToleranceBreachError(failure)
@@ -508,9 +508,10 @@ def _require_matching(F: FrameFamily, cert: SelectionCertificate) -> None:
             f"frame/certificate mismatch: frame dimension {F.k}, certificate spectrum "
             f"has {cert.eigenvalues.shape[0]} entries"
         )
+    m = F.m
     for i in cert.indices:
-        if not 1 <= i <= F.m:
-            raise CertificateMismatchError(f"certificate index {i} outside 1..{F.m}")
+        if not 1 <= i <= m:
+            raise CertificateMismatchError(f"certificate index {i} outside 1..{m}")
 
 
 @dataclass(frozen=True)
@@ -518,8 +519,8 @@ class CertificateReport:
     """Outcome of replaying a certificate from scratch against a frame."""
 
     checks: tuple[tuple[str, bool, str], ...]
-    final_margin: float
-    min_step_margin: float
+    final_margin: float = math.nan
+    min_step_margin: float = math.nan
     min_margin_step: int | None = None  # 1-based step of min_step_margin; None if no step replayed
 
     @property
@@ -619,14 +620,14 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
         check("compatibility", True, "frame and certificate dimensions agree")
     except CertificateMismatchError as exc:
         check("compatibility", False, str(exc))
-        return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
+        return CertificateReport(checks=tuple(checks))
 
     sched = cert.schedule
     n = sched.n
     if not (0 <= n < sched.m and len(sched.values) == n + 1):
         detail = f"n = {n} with {len(sched.values)} values; need 0 <= n < m = {sched.m} and n + 1 values"
         check("schedule", False, detail)
-        return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
+        return CertificateReport(checks=tuple(checks))
     expected = barrier_schedule(sched.N, sched.m, n)
     sched_ok = np.allclose(sched.values, expected.values, rtol=1e-12, atol=0.0)
     check("schedule", sched_ok, "values match the formula" if sched_ok else "schedule values off formula")
@@ -637,7 +638,7 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     set_ok = sorted(chosen_order) == list(cert.indices) and len(set(chosen_order)) == len(chosen_order)
     check("index-set", set_ok, "step indices are distinct and match the final set")
     if not (count_ok and set_ok):
-        return CertificateReport(checks=tuple(checks), final_margin=math.nan, min_step_margin=math.nan)
+        return CertificateReport(checks=tuple(checks))
 
     no_step = (np.empty(0), np.empty((0, F.k)), np.empty(0), {}, np.zeros((1, F.k, F.k), dtype=np.complex128))  # T_0
     with np.errstate(over="raise", invalid="raise"):  # _replay, run to its end here, stops at a T_j that overflows

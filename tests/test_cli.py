@@ -147,7 +147,7 @@ class TestSelect:
             bad.write_text(text)
             capsys.readouterr()
             assert run("select", "--frame", bad, "--n", 2, "--out", tmp_path / "c.json") == 2
-            assert capsys.readouterr().err.startswith("error:")
+            assert capsys.readouterr().err.startswith("error: malformed JSON input:" if text == texts[0] else "error:")
 
     def test_invalid_frame_is_usage_error(self, frame_file, tmp_path):
         data = json.loads(frame_file.read_text())
@@ -213,12 +213,17 @@ class TestSweep:
         assert run("sweep", "--k", 8, "--N", 25, "--n-min", 1, "--n-max", 199, "--out", out) == 0
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
-    def test_n_max_beyond_m_writes_valid_rows_then_fails(self, capsys):
+    def test_n_max_beyond_m_writes_valid_rows_then_fails(self, tmp_path, capsys):
         assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 8) == 2
         captured = capsys.readouterr()
         lines = captured.out.strip().splitlines()
         assert [line.split(",")[3] for line in lines[1:]] == [str(n) for n in range(1, 8)]
-        assert "got 8" in captured.err
+        assert captured.err == "error: n must satisfy 1 <= n < m = 8, got 8\n"
+        # to a file: the same header and rows, and the file is closed when the run fails
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 8, "--out", out) == 2
+        assert capsys.readouterr() == ("", captured.err)
+        assert out.read_bytes() == captured.out.encode()
 
     def test_n_min_zero_writes_header_then_fails(self, capsys):
         assert run("sweep", "--k", 2, "--N", 4, "--n-min", 0, "--n-max", 3) == 2
@@ -262,6 +267,28 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
+
+
+class TestRefusals:
+    # each flag combination that would be ignored or cannot run: exit 2, one error line, nothing written
+    @pytest.mark.parametrize("argv, text", [
+        (("gen", "--k", 2, "--N", 2, "--seed", 9), "--seed applies only with --kind modulated"),
+        (("sweep", "--k", 2), "sweep needs --N with an n-range, or --N-list with --ratio"),
+        (("sweep", "--k", 2, "--N-list", "4", "--N", 9),
+         "--N-list uses --ratio; --N and an n-range apply only without it"),
+        (("sweep", "--k", 2, "--N", 4, "--n-min", 1), "sweep over one frame needs both --n-min and --n-max"),
+        (("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 2, "--ratio", 0.9),
+         "--ratio applies only with --N-list; an n-range sets n directly"),
+        (("sweep", "--k", 4, "--N-list", 25, "--ratio", 1.5), "--ratio must lie strictly between 0 and 1, got 1.5"),
+        (("katz", "--N", 3, "--trials", 5), "--trials and --seed apply only with --sampled"),
+        (("katz", "--N", 7), "exhaustive check over 2^14 subsets is out of reach for N = 7; "
+                             "pass --sampled (with --trials and --seed) instead"),
+    ], ids=["gen-seed", "sweep-no-frame", "sweep-list-and-N", "sweep-half-range", "sweep-range-ratio",
+            "sweep-ratio-range", "katz-trials", "katz-out-of-reach"])
+    def test_refusal_exits_2_with_one_error_line(self, argv, text, tmp_path, capsys):
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr() == ("", f"error: {text}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestKatz:
@@ -388,6 +415,23 @@ class TestVerify:
             assert captured.out.endswith("certificate REJECTED\n")
             assert "FAIL schedule:" in captured.out
             assert captured.err == ""
+
+    @pytest.mark.parametrize("index", [0, 37, -3, 2**70])
+    def test_index_outside_the_frame_is_rejected_with_a_report(self, index, tmp_path, capsys):
+        F = harmonic_frame(4, 9)
+        frame, cert = tmp_path / "frame.json", tmp_path / "cert.json"
+        save_frame(F, frame)
+        data = selector.certificate_to_dict(select_subset(F, 10))
+        data["final"]["indices"][-1] = index
+        cert.write_text(json.dumps(data))
+        assert run("verify", "--frame", frame, "--cert", cert) == 1
+        assert capsys.readouterr() == (
+            f"FAIL compatibility: certificate index {index} outside 1..36\n"
+            "final margin a_n - lambda_max = nan\n"
+            "smallest per-step margin      = nan\n"
+            "certificate REJECTED\n",
+            "",
+        )
 
     def test_wrong_frame_fails_with_mismatch(self, frame_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"

@@ -599,6 +599,22 @@ class TestVerification:
             assert math.isnan(report.final_margin) and math.isnan(report.min_step_margin)
             assert report.min_margin_step is None
 
+    @pytest.mark.parametrize("index", [0, 37, -3, 2**70])
+    def test_index_outside_the_frame_is_reported(self, index):
+        # compared as a Python int, so 2**70 is named rather than overflowing
+        F = harmonic_frame(4, 9)
+        data = certificate_to_dict(select_subset(F, 10))
+        data["final"]["indices"][-1] = index
+        cert = certificate_from_dict(data)
+        text = f"certificate index {index} outside 1..36"
+        report = verify_certificate(F, cert)
+        assert report.checks == (("compatibility", False, text),)
+        assert math.isnan(report.final_margin) and math.isnan(report.min_step_margin)
+        assert report.min_margin_step is None
+        with pytest.raises(CertificateMismatchError) as excinfo:
+            complement_lower_bound(F, cert)
+        assert str(excinfo.value) == text
+
     def test_wrong_frame_is_mismatch(self):
         F = harmonic_frame(2, 4)
         cert = select_subset(F, 4)
