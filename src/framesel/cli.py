@@ -68,14 +68,19 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _seed(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "harmonic":
         if args.seed is not None:
             raise ValueError("--seed applies only with --kind modulated")
         frame = harmonic_frame(args.k, args.N)
     else:
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        frame = modulated_harmonic_frame(args.k, args.N, seed=seed)
+        frame = modulated_harmonic_frame(args.k, args.N, seed=_seed(args))
     report = validate_frame(frame) if args.tol is None else validate_frame(frame, args.tol)
     save_frame(frame, args.out)
     print(f"wrote {args.out}")
@@ -150,9 +155,9 @@ def cmd_katz(args: argparse.Namespace) -> int:
             f"exhaustive check over 2^{2 * args.N} subsets is out of reach for N = {args.N}; "
             f"pass --sampled (with --trials and --seed) instead"
         )
+    seed = _seed(args)
     system = build_katz(args.N)
     mode = "sampled" if args.sampled else "exhaustive"
-    seed = DEFAULT_SEED if args.seed is None else args.seed
     trials = {} if args.trials is None else {"trials": args.trials}
     report = dichotomy_check(system, mode=mode, seed=seed, **trials)
     save_dichotomy_report(report, args.out)

@@ -345,7 +345,7 @@ def initial_selection_state(F: FrameFamily) -> SelectionState:
 
 
 def _scan(state: SelectionState, schedule: BarrierSchedule) -> tuple:
-    """(a_j, a_{j+1}, eigensystem of T_j, U of every unused vector via that eigenbasis).
+    """(a_{j+1}, U of every unused vector via the eigenbasis of T_j).
 
     U(v) = <M v, v> with M = E f(Lambda) E*. On a DFT row subset,
     <M v_i, v_i> = (1/m) sum_{d,e} M_de omega^(i (r_e - r_d)), so summing M's
@@ -367,12 +367,12 @@ def _scan(state: SelectionState, schedule: BarrierSchedule) -> tuple:
     weights = _weights(eig.eigenvalues, a_next, _gap(eig.eigenvalues, a, a_next))
     bins = state.dft_bins
     if bins is None:
-        return a, a_next, eig, _feasibility(state.frame.vectors[state.remaining - 1], eig.eigenvectors, weights)
+        return a_next, _feasibility(state.frame.vectors[state.remaining - 1], eig.eigenvectors, weights)
     M = (eig.eigenvectors * weights) @ eig.eigenvectors.conj().T
     m = state.frame.m
     sums = np.bincount(bins, M.view(np.float64).ravel(), 2 * m).view(np.complex128)
     # M is Hermitian, so sums[m - s] = conj(sums[s]) and the transform is real
-    return a, a_next, eig, np.fft.irfft(sums[: m // 2 + 1], m)[state.remaining - 1]
+    return a_next, np.fft.irfft(sums[: m // 2 + 1], m)[state.remaining - 1]
 
 
 def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[SelectionState, SelectionStep]:
@@ -388,7 +388,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
     ToleranceBreachError if a certified inequality fails after the update.
     """
     j = state.step
-    _, a_next, eig, profile = _scan(state, schedule)
+    a_next, profile = _scan(state, schedule)
     u_min = float(profile.min())
     edge = u_min + _TIE_BAND * max(1.0, u_min)
     inside = profile <= edge
@@ -404,7 +404,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
 
     index = int(state.remaining[pos])
     tie_count = int(np.count_nonzero(inside))
-    eig_next = _rank_one_update(eig, state.frame.vectors[index - 1])
+    eig_next = _rank_one_update(state.eig, state.frame.vectors[index - 1])
     phi_next, failure = _advance(state.phi, eig_next.eigenvalues, a_next)
     if failure is not None:
         raise ToleranceBreachError(f"step {j + 1}: {failure}")
@@ -478,7 +478,7 @@ def averaging_identity_check(state: SelectionState, schedule: BarrierSchedule) -
     For exact frames the sum never exceeds the count (the proof's averaging
     step), which is why the greedy choice always finds U <= 1.
     """
-    profile = _scan(state, schedule)[3]
+    profile = _scan(state, schedule)[1]
     return float(profile.sum()), len(profile)
 
 
@@ -551,8 +551,8 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterato
     built by in-place adds in selection order; their spectra (eigvalsh of the symmetrized T_j), solves and vecdots
     take one stacked call each, with the bits of one call per step, and gaps, Phi and checks are array expressions.
 
-    The replay ends at the first step whose norm reaches its barrier or, under ``verify_certificate``'s errstate,
-    whose T_j overflows: that step yields an infinite spectrum, no Phi, and T_{j-1}. Nothing past it is solved.
+    The replay ends at the first step whose norm reaches its barrier or whose T_j is not finite, which counts as an
+    infinite spectrum: that step yields no Phi and, if T_j is not finite, T_{j-1}. Nothing past it is solved.
     """
     k, order = F.k, np.asarray(order, dtype=np.int64)
     c = max(1, _REPLAY_CHUNK_BYTES // (16 * k * k))
@@ -562,39 +562,32 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterato
     phi = _potential(eigenvalues[0], float(values[0]))
     for lo in range(0, len(order), c):
         vs = F.vectors[order[lo : lo + c] - 1]
-        T, stop, error = sums[1 : len(vs) + 1], len(vs), None
-        try:
+        T, spectra = sums[1 : len(vs) + 1], np.full((len(vs), k), np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):  # per chunk: the caller's errstate holds across a yield
             np.multiply(vs[:, :, None], vs.conj()[:, None, :], out=T)
-        except FloatingPointError as exc:  # numpy raises after writing all of T: find its first non-finite T_j
-            stop, error = int(np.isfinite(T).all(axis=(1, 2)).argmin()), exc
-        try:
-            for i in range(stop):
+            for i in range(len(vs)):
                 T[i] += sums[i]
-        except FloatingPointError as exc:
-            stop, error = i, exc
-        sym = np.conjugate(T[:stop].transpose(0, 2, 1), out=work[:stop])
-        try:
-            sym += T[:stop]
-        except FloatingPointError as exc:  # likewise for the symmetrized T_j
-            stop, error = int(np.isfinite(sym).all(axis=(1, 2)).argmin()), exc
-        spectra = np.linalg.eigvalsh(np.multiply(sym[:stop], 0.5, out=sym[:stop]))
-        a = values[lo : lo + len(vs) + 1]
-        crossed = np.flatnonzero(spectra[:, -1] >= a[1 : stop + 1])
-        end = min(int(crossed[0]) if crossed.size else stop, len(vs) - 1) + 1  # the steps to replay
-        shifted = np.negative(sums[:end], out=work[:end])  # eigvalsh has copied sym
-        shifted.reshape(end, k * k)[:, :: k + 1] += a[1 : end + 1, None]
-        xs = np.linalg.solve(shifted, vs[:end, :, None])[..., 0]
-        gaps = _gap(np.concatenate((eigenvalues, spectra[: end - 1])), a[:end], a[1 : end + 1])
-        with np.errstate(over="ignore", invalid="ignore"):  # as np.vdot's sums, which no errstate reaches
+            sym = np.conjugate(T.transpose(0, 2, 1), out=work[: len(vs)])
+            sym += T
+            finite = np.isfinite(sym.view(np.float64)).all(axis=(1, 2))
+            stop = len(vs) if finite.all() else int(finite.argmin())  # the first T_j not finite
+            spectra[:stop] = np.linalg.eigvalsh(np.multiply(sym[:stop], 0.5, out=sym[:stop]))
+            a = values[lo : lo + len(vs) + 1]
+            crossed = np.flatnonzero(spectra[:, -1] >= a[1:])
+            end = int(crossed[0]) + 1 if crossed.size else len(vs)  # the steps to replay
+            shifted = np.negative(sums[:end], out=work[:end])  # eigvalsh has copied sym
+            shifted.reshape(end, k * k)[:, :: k + 1] += a[1 : end + 1, None]
+            xs = np.linalg.solve(shifted, vs[:end, :, None])[..., 0]
+            gaps = _gap(np.concatenate((eigenvalues, spectra[: end - 1])), a[:end], a[1 : end + 1])
             us = np.vecdot(xs, xs).real / gaps + np.vecdot(vs[:end], xs).real
-        last = end - 1 if crossed.size or end > stop else end  # the steps that keep the replay going
-        phis = _potential(spectra[:last], a[1 : last + 1])
-        before = np.append(phi, phis)  # Phi of T_{j-1} at a_{j-1}
-        rows = np.flatnonzero(np.append(phis > before[:-1] + _POTENTIAL_SLACK, crossed.size > 0))  # rise or crossing
-        failures = {lo + i + 1: _advance(float(before[i]), spectra[i], float(a[i + 1]))[1] for i in rows}
-        if end > stop:  # yield T_{j-1} for the T_j that overflowed
-            spectra, sums[end] = np.concatenate((spectra, np.full((1, k), np.inf))), sums[end - 1]
-            failures[lo + end] = f"T_{lo + end} is not finite ({error})"
+            last = end - 1 if crossed.size else end  # the steps that keep the replay going
+            phis = _potential(spectra[:last], a[1 : last + 1])
+            before = np.append(phi, phis)  # Phi of T_{j-1} at a_{j-1}
+            rows = np.flatnonzero(np.append(phis > before[:-1] + _POTENTIAL_SLACK, crossed.size > 0))  # rise, crossing
+            failures = {lo + i + 1: _advance(float(before[i]), spectra[i], float(a[i + 1]))[1] for i in rows}
+            if end > stop:  # yield T_{j-1}; every operand before T_j is finite, and numpy names overflow first
+                op = "add" if np.isfinite(np.outer(vs[stop], vs[stop].conj())).all() else "multiply"
+                failures[lo + end], sums[end] = f"T_{lo + end} is not finite (overflow encountered in {op})", sums[stop]
         yield us, spectra[:end], phis, failures, sums[1 : end + 1]
         if last < end:
             return
@@ -641,8 +634,7 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
         return CertificateReport(checks=tuple(checks))
 
     no_step = (np.empty(0), np.empty((0, F.k)), np.empty(0), {}, np.zeros((1, F.k, F.k), dtype=np.complex128))  # T_0
-    with np.errstate(over="raise", invalid="raise"):  # _replay, run to its end here, stops at a T_j that overflows
-        us, spectra, phis, failed, T = zip(no_step, *_replay(F, chosen_order, expected.values))
+    us, spectra, phis, failed, T = zip(no_step, *_replay(F, chosen_order, expected.values))  # run to its end
     us, spectra, phis, T = np.concatenate(us), np.concatenate(spectra), np.concatenate(phis), T[-1][-1]
     failures = {j: text for chunk in failed for j, text in chunk.items()}
     lams, r, p = spectra[:, -1], len(us), len(phis)  # r steps replayed, p with a Phi: all but one that stopped

@@ -202,8 +202,10 @@ def replay_per_step(F, order, values):
     The spectra come from LAPACK without eigenvectors, on the symmetrized T_j;
     none of this goes through the selection's rank-one update.
 
-    Under ``verify_certificate``'s errstate a T_j that overflows ends the replay:
-    its step yields an infinite spectrum, no Phi, and T_{j-1}, the last finite sum.
+    It needs its caller's errstate to raise on overflow and on invalid values
+    (``np.errstate(over="raise", invalid="raise")``): a T_j that overflows then ends
+    the replay, and its step yields an infinite spectrum, no Phi, and T_{j-1}, the
+    last finite sum. Under numpy's default errstate it only warns, and runs on.
     """
     k = F.k
     T = np.zeros((k, k), dtype=np.complex128)

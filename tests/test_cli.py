@@ -283,8 +283,11 @@ class TestRefusals:
         (("katz", "--N", 3, "--trials", 5), "--trials and --seed apply only with --sampled"),
         (("katz", "--N", 7), "exhaustive check over 2^14 subsets is out of reach for N = 7; "
                              "pass --sampled (with --trials and --seed) instead"),
+        (("gen", "--k", 2, "--N", 2, "--kind", "modulated", "--seed", -1),
+         "--seed must be a non-negative integer, got -1"),
+        (("katz", "--N", 3, "--sampled", "--seed", -1), "--seed must be a non-negative integer, got -1"),
     ], ids=["gen-seed", "sweep-no-frame", "sweep-list-and-N", "sweep-half-range", "sweep-range-ratio",
-            "sweep-ratio-range", "katz-trials", "katz-out-of-reach"])
+            "sweep-ratio-range", "katz-trials", "katz-out-of-reach", "gen-negative-seed", "katz-negative-seed"])
     def test_refusal_exits_2_with_one_error_line(self, argv, text, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path / "out") == 2
         assert capsys.readouterr() == ("", f"error: {text}\n")

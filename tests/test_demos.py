@@ -15,6 +15,6 @@ def test_demo_exits_zero(demo, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ its stacked chunks must give the bits of a replay one step at a time.
 """
 
 import dataclasses
+import functools
 import json
 import os
 import warnings
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framesel
 from framesel import (
@@ -209,6 +212,33 @@ def set_chunk(monkeypatch, F, steps):
     monkeypatch.setattr(selector, "_REPLAY_CHUNK_BYTES", steps * 16 * F.k**2)
 
 
+@functools.cache
+def harmonic_4_9_run():
+    F = harmonic_frame(4, 9)
+    return F, select_subset(F, 10)
+
+
+def scaled_case(scaled):
+    """(frame, certificate, order) of harmonic_frame(4, 9)'s 10-step run, the vector of step j scaled by scaled[j]."""
+    F, cert = harmonic_4_9_run()
+    steps = order(cert)
+    vectors = F.vectors.copy()
+    for step, scale in scaled.items():
+        vectors[steps[step - 1] - 1] *= scale
+    return FrameFamily(k=F.k, N=F.N, vectors=vectors), cert, steps
+
+
+# A scaled step ends the replay at itself: (factor, the start of its failure text). |v_i|^2 is 1/36 per entry.
+STOPS = {
+    "crossing": (10.0, "norm bound breached"),
+    "product-overflow": (1e200, "T_{j} is not finite (overflow encountered in multiply)"),
+    # |v_i|^2 = 1.2e308 per entry: T_j is finite, its symmetrization is not
+    "symmetrization-overflow": (6 * np.sqrt(1.2e308), "T_{j} is not finite (overflow encountered in add)"),
+    # 0.8e308 per entry: T_j and its symmetrization are finite, and a later add can overflow
+    "huge-but-finite": (6 * np.sqrt(0.8e308), "norm bound breached"),
+}
+
+
 def factor_running_sum(solver, calls):
     """A stand-in for ``selector._rank_one_update`` that factors the running sum T itself.
 
@@ -257,8 +287,8 @@ class TestScansAgree:
         state = initial_selection_state(F)
         assert state.dft_bins is not None
         for _ in range(n):
-            fft_u = selector._scan(state, sched)[3]
-            dense_u = selector._scan(dataclasses.replace(state, dft_bins=None), sched)[3]
+            fft_u = selector._scan(state, sched)[1]
+            dense_u = selector._scan(dataclasses.replace(state, dft_bins=None), sched)[1]
             np.testing.assert_allclose(fft_u, dense_u, rtol=1e-13, atol=0.0)
             state, _ = selection_step(state, sched)
 
@@ -333,7 +363,7 @@ class TestTieBand:
         state = initial_selection_state(F)
         ties = 0
         for _ in range(n):
-            profile = selector._scan(state, sched)[3]
+            profile = selector._scan(state, sched)[1]
             u_min = profile.min()
             edge = u_min + selector._TIE_BAND * max(1.0, u_min)
             inside = profile <= edge
@@ -625,14 +655,8 @@ class TestReplay:
     )
     def test_overflow_anywhere_in_a_chunk_keeps_the_last_finite_sum(self, scaled, j, failure, monkeypatch):
         # chunks of 4 steps: 1..4, 5..8, 9..10; the sum an overflow at step 5 yields is the first chunk's last
-        F = harmonic_frame(4, 9)
-        cert = select_subset(F, 10)
-        steps = order(cert)
-        vectors = F.vectors.copy()
-        for step, scale in scaled.items():
-            vectors[steps[step - 1] - 1] *= scale
-        G = FrameFamily(k=F.k, N=F.N, vectors=vectors)
-        set_chunk(monkeypatch, F, 4)
+        G, cert, steps = scaled_case(scaled)
+        set_chunk(monkeypatch, G, 4)
         with np.errstate(over="raise", invalid="raise"):
             assert replays_alike(G, steps, cert.schedule.values) == j
             *_, (u, spectrum, phi, message, T) = replay_steps(G, steps, cert.schedule.values)
@@ -682,13 +706,8 @@ class TestReplay:
     )
     def test_a_stop_anywhere_in_a_chunk_has_the_per_step_bits(self, scale, failure, j, chunk, monkeypatch):
         # at 3 steps per chunk, steps 4, 5 and 6 are the first, the middle and the last of a chunk
-        F = harmonic_frame(4, 9)
-        cert = select_subset(F, 10)
-        steps = order(cert)
-        vectors = F.vectors.copy()
-        vectors[steps[j - 1] - 1] *= scale
-        G = FrameFamily(k=F.k, N=F.N, vectors=vectors)
-        set_chunk(monkeypatch, F, chunk)
+        G, cert, steps = scaled_case({j: scale})
+        set_chunk(monkeypatch, G, chunk)
         with np.errstate(over="raise", invalid="raise"):
             assert replays_alike(G, steps, cert.schedule.values) == j
         report = verify_certificate(G, cert)
@@ -712,16 +731,44 @@ class TestReplay:
     def test_crossing_ends_the_replay_before_a_later_overflow_in_its_chunk(self, monkeypatch):
         # T_5 = 0.8e308 per entry crosses its barrier; the chunk builds T_6 before it sees that,
         # and T_6 = T_5 + v (x) v overflows in the add
-        F = harmonic_frame(4, 9)
-        cert = select_subset(F, 10)
-        steps = order(cert)
-        vectors = F.vectors.copy()
-        vectors[steps[4] - 1] *= 6 * np.sqrt(0.8e308)
-        vectors[steps[5] - 1] *= 6e154
-        G = FrameFamily(k=F.k, N=F.N, vectors=vectors)
-        set_chunk(monkeypatch, F, 4)
+        G, cert, steps = scaled_case({5: 6 * np.sqrt(0.8e308), 6: 6e154})
+        set_chunk(monkeypatch, G, 4)
         with np.errstate(over="raise", invalid="raise"):
             assert replays_alike(G, steps, cert.schedule.values) == 5
             *_, (u, spectrum, phi, message, T) = replay_steps(G, steps, cert.schedule.values)
         assert phi is None and message.startswith("norm bound breached")
 
+    @pytest.mark.parametrize("chunk", [1, 3, 4])
+    @pytest.mark.parametrize("kind", ["product-overflow", "symmetrization-overflow"])
+    def test_the_replay_owns_its_errstate(self, kind, chunk, monkeypatch):
+        # under numpy's default errstate an overflow warns, and the suite turns any warning into an error
+        G, cert, steps = scaled_case({5: STOPS[kind][0]})
+        values = cert.schedule.values
+        set_chunk(monkeypatch, G, chunk)
+        with np.errstate(over="raise", invalid="raise"):  # the oracle's
+            want = list(replay_per_step(G, steps, values))
+        assert len(want) == 5 and want[-1][3] == STOPS[kind][1].format(j=5)
+        caller = np.geterr()
+        for _ in selector._replay(G, steps, values):
+            assert np.geterr() == caller  # the replay's own errstate stays inside the chunk
+        got = replay_steps(G, steps, values)
+        for j, step in enumerate(want, 1):
+            assert [bits(x) for x in next(got)] == [bits(x) for x in step], f"step {j}"
+        assert next(got, None) is None
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        scaled=st.dictionaries(st.integers(1, 10), st.sampled_from(sorted(STOPS)), min_size=1, max_size=2),
+        chunk=st.integers(1, 5),
+    )
+    def test_any_stop_in_any_chunk_has_the_per_step_bits(self, scaled, chunk):
+        # the first scaled step ends the replay, whatever a second one later in its chunk does to the sums
+        G, cert, steps = scaled_case({step: STOPS[kind][0] for step, kind in scaled.items()})
+        j = min(scaled)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            set_chunk(monkeypatch, G, chunk)
+            with np.errstate(over="raise", invalid="raise"):  # the oracle's
+                assert replays_alike(G, steps, cert.schedule.values) == j
+            report = verify_certificate(G, cert)
+        assert report.failures()[0].startswith(f"steps: step {j}: {STOPS[scaled[j]][1].format(j=j)}")
+        assert report.min_margin_step == j
