@@ -34,7 +34,7 @@ from .frames import (
     save_frame,
     validate_frame,
 )
-from .katz import _EXHAUSTIVE_MAX_N, build_katz, dichotomy_check, save_dichotomy_report
+from .katz import build_katz, dichotomy_check, save_dichotomy_report
 from .selector import (
     complement_lower_bound,
     load_certificate,
@@ -150,11 +150,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_katz(args: argparse.Namespace) -> int:
     if not args.sampled and (args.trials is not None or args.seed is not None):
         raise ValueError("--trials and --seed apply only with --sampled")
-    if not args.sampled and args.N > _EXHAUSTIVE_MAX_N:
-        raise ValueError(
-            f"exhaustive check over 2^{2 * args.N} subsets is out of reach for N = {args.N}; "
-            f"pass --sampled (with --trials and --seed) instead"
-        )
     seed = _seed(args)
     system = build_katz(args.N)
     mode = "sampled" if args.sampled else "exhaustive"

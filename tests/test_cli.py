@@ -281,13 +281,16 @@ class TestRefusals:
          "--ratio applies only with --N-list; an n-range sets n directly"),
         (("sweep", "--k", 4, "--N-list", 25, "--ratio", 1.5), "--ratio must lie strictly between 0 and 1, got 1.5"),
         (("katz", "--N", 3, "--trials", 5), "--trials and --seed apply only with --sampled"),
-        (("katz", "--N", 7), "exhaustive check over 2^14 subsets is out of reach for N = 7; "
-                             "pass --sampled (with --trials and --seed) instead"),
+        (("katz", "--N", 11),
+         "C(22, 11) = 705432 points exceeds the build cap 200000; use closed_form_range for large N"),
+        (("katz", "--N", 11, "--sampled"),
+         "C(22, 11) = 705432 points exceeds the build cap 200000; use closed_form_range for large N"),
         (("gen", "--k", 2, "--N", 2, "--kind", "modulated", "--seed", -1),
          "--seed must be a non-negative integer, got -1"),
         (("katz", "--N", 3, "--sampled", "--seed", -1), "--seed must be a non-negative integer, got -1"),
     ], ids=["gen-seed", "sweep-no-frame", "sweep-list-and-N", "sweep-half-range", "sweep-range-ratio",
-            "sweep-ratio-range", "katz-trials", "katz-out-of-reach", "gen-negative-seed", "katz-negative-seed"])
+            "sweep-ratio-range", "katz-trials", "katz-out-of-reach", "katz-sampled-out-of-reach", "gen-negative-seed",
+            "katz-negative-seed"])
     def test_refusal_exits_2_with_one_error_line(self, argv, text, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path / "out") == 2
         assert capsys.readouterr() == ("", f"error: {text}\n")
@@ -310,7 +313,9 @@ class TestKatz:
         assert data["subsets_checked"] == 200
 
     def test_large_n_needs_sampled(self, tmp_path):
-        assert run("katz", "--N", 10, "--out", tmp_path / "k.json") == 2
+        # every N that build_katz builds runs exhaustively; past its cap neither mode can run
+        assert run("katz", "--N", 10, "--out", tmp_path / "k.json") == 0
+        assert run("katz", "--N", 11, "--out", tmp_path / "k11.json") == 2
 
     def test_rejects_nonpositive_n(self, tmp_path):
         assert run("katz", "--N", 0, "--out", tmp_path / "k.json") == 2

@@ -211,6 +211,15 @@ class TestDichotomy:
         assert not report.violations
         assert not report.closed_form_mismatches
 
+    @pytest.mark.parametrize("N", [9, 10])
+    def test_auto_mode_checks_every_subset_up_to_the_build_cap(self, N):
+        report = dichotomy_check(build_katz(N))
+        assert report.mode == "exhaustive" and report.subsets_checked == 4 ** N
+        assert report.min_pinned == sum(math.comb(2 * N, s) for s in range(N + 1))
+        assert report.max_pinned == sum(math.comb(2 * N, s) for s in range(N, 2 * N + 1))
+        assert report.both_pinned == math.comb(2 * N, N)
+        assert report.passed and not report.violations and not report.closed_form_mismatches
+
     def test_both_endpoints_at_size_n(self):
         N = 3
         report = dichotomy_check(build_katz(N), mode="exhaustive")
@@ -235,7 +244,8 @@ class TestDichotomy:
 
     def test_auto_mode_switches(self):
         assert dichotomy_check(build_katz(2)).mode == "exhaustive"
-        assert dichotomy_check(build_katz(7), trials=50).mode == "sampled"
+        # build_katz stops at N = 10, so only a hand-built system is large enough to be sampled
+        assert dichotomy_check(system_of(11, [(1 << 11) - 1, ((1 << 11) - 1) << 11]), trials=50).mode == "sampled"
 
     @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
     def test_rejects_nonpositive_trials(self, mode):
@@ -285,6 +295,7 @@ class TestGoldenReports:
         ("katz-N8-sampled-trials500-seed3.json", ["--N", 8, "--sampled", "--trials", 500, "--seed", 3]),
         ("katz-N10-sampled-trials4000-seed1.json", ["--N", 10, "--sampled", "--trials", 4000, "--seed", 1]),
         ("katz-N10-sampled-trials4000-seed2.json", ["--N", 10, "--sampled", "--trials", 4000, "--seed", 2]),
+        ("katz-N10-exhaustive.json", ["--N", 10]),
     ])
     def test_cli_reproduces_report_bytes(self, name, argv, tmp_path):
         out = tmp_path / name
@@ -361,6 +372,16 @@ class TestSplitKernelAgainstAllPoints:
 
     def test_masks_wider_than_32_bits(self):
         self.check(system_of(17, wide_masks()), sampled_draws(17, 400, 9))
+
+    def test_halves_that_repeat(self):
+        # at least 2^N draws: tables over every half value; fewer: over the distinct halves that np.unique finds
+        self.check(build_katz(4), sampled_draws(4, 5000, 6))
+        self.check(stray_bit_system(), sampled_draws(3, 2000, 7))
+        pool = sampled_draws(10, 12, 8)
+        self.check(build_katz(10), pool[np.random.default_rng(9).integers(0, 12, 600)])
+        # 122 groups of points: the 3000 draws take three blocks of subsets
+        pool = sampled_draws(17, 500, 10)
+        self.check(system_of(17, wide_masks()), pool[np.random.default_rng(11).integers(0, 500, 3000)])
 
     @pytest.mark.parametrize("system", [pytest.param(system, id=name) for name, system in hand_built_systems()])
     def test_hand_built(self, system):
