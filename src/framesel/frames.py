@@ -159,7 +159,7 @@ def validate_frame(F: FrameFamily, tol: float = _FRAME_TOL) -> FrameValidationRe
     """Measure norm, Parseval, and count deviations; pass iff all within ``tol``."""
     with np.errstate(over="ignore", invalid="ignore"):  # squares that overflow read as inf/NaN deviations
         norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
-        norm_dev = float(np.max(np.abs(norms2 - 1.0 / F.N))) if F.m else 0.0
+        norm_dev = float(np.max(np.abs(norms2 - 1 / F.N))) if F.m else 0.0
         parseval_dev = float(np.linalg.norm(F.rank_one_sum() - np.eye(F.k)))
     return FrameValidationReport(
         k=F.k,
@@ -321,7 +321,10 @@ def _write_json(data: dict, path) -> None:
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:  # nesting deeper than the decoder's stack
+            raise ValueError(f"malformed JSON input: {exc}") from None
 
 
 def save_frame(F: FrameFamily, path) -> None:

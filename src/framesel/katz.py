@@ -195,9 +195,9 @@ def dichotomy_check(
 ) -> DichotomyReport:
     """Verify endpoint pinning for subsets S of the ground set.
 
-    Exhaustive mode walks all 2^(2N) subsets (auto mode picks it for N up
-    to ``_EXHAUSTIVE_MAX_N``), a block of ``np.arange`` at a time; sampled
-    mode draws ``trials`` uniform random subsets from a seeded generator.
+    Exhaustive mode walks all 2^(2N) subsets in order (auto mode picks it
+    for N up to ``_EXHAUSTIVE_MAX_N``); sampled mode draws ``trials`` uniform
+    random subsets from a seeded generator and hands them over as an array.
     Either way ``_count_extremes`` meets every subset with every point
     through the low N and the high N bits of its mask, popcounting each
     group of points once per distinct half of S, not once per subset. The
@@ -217,32 +217,23 @@ def dichotomy_check(
 
     g = system.ground_size
     masks = _narrowed_masks(system)
-    if mode == "exhaustive":
-        count = 1 << g
-
-        def subsets(start: int, stop: int) -> np.ndarray:
-            return np.arange(start, stop, dtype=masks.dtype)
-    else:
+    draws = None  # every subset, in order
+    if mode == "sampled":
         rng = np.random.default_rng(seed)
         draws = rng.integers(0, 1 << g, size=trials, dtype=np.uint64).astype(masks.dtype, copy=False)
-        count = trials
-
-        def subsets(start: int, stop: int) -> np.ndarray:
-            return draws[start:stop]
-
-    lo, hi, size = _count_extremes(masks, subsets, count, system.N)
+    lo, hi, size = _count_extremes(masks, draws, system.N)
     at_zero = lo == 0
     at_one = hi == system.N
     hi_expect = np.minimum(size, system.N)
     mismatched = (hi != hi_expect) | (lo != size - hi_expect)  # lo_expect = |S| - min(|S|, N)
 
     def first_members(flags: np.ndarray) -> tuple[tuple[int, ...], ...]:
-        return tuple(_members(int(subsets(i, i + 1)[0]), g) for i in np.flatnonzero(flags)[:32])
+        return tuple(_members(int(i if draws is None else draws[i]), g) for i in np.flatnonzero(flags)[:32])
 
     return DichotomyReport(
         N=system.N,
         mode=mode,
-        subsets_checked=count,
+        subsets_checked=lo.size,
         min_pinned=int(np.count_nonzero(at_zero)),
         max_pinned=int(np.count_nonzero(at_one)),
         both_pinned=int(np.count_nonzero(at_zero & at_one)),
@@ -251,17 +242,19 @@ def dichotomy_check(
     )
 
 
-def _count_extremes(masks: np.ndarray, subsets, count: int, low_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) -> tuple[np.ndarray, ...]:
     """Per subset: min and max over the points of |A intersect S|, and |S|, as uint8.
 
-    ``subsets(start, stop)`` gives subsets start..stop - 1, masks of the lowest
-    2 * ``low_bits`` bits; ``masks`` is sorted in place. Points with equal bits
+    The subsets are ``draws``, masks of the lowest 2 * ``low_bits`` bits in
+    ``masks.dtype``, or every such mask in order when ``draws`` is None, made
+    a block at a time; ``masks`` is sorted in place. Points with equal bits
     from ``low_bits`` up form a group, and groups with equal low bits share a k,
     so the points are the products H_k x L_k and min |A intersect S| = min over
     k of (min over H_k of popcount(A_hi & S) + min over L_k of popcount(A_lo & S));
     max likewise. Each term is tabled once per half of S: for every half value
     if the subsets are at least as many, else for their distinct halves.
     """
+    count = 1 << 2 * low_bits if draws is None else draws.size
     masks.sort()
     low_mask = (1 << low_bits) - 1
     bounds = (np.flatnonzero((masks[1:] ^ masks[:-1]) > low_mask) + 1).tolist()
@@ -275,20 +268,20 @@ def _count_extremes(masks: np.ndarray, subsets, count: int, low_bits: int) -> tu
         at = None
         halves = [np.arange(1 << low_bits, dtype=masks.dtype)] * 2
     else:
-        every = subsets(0, count)
-        halves, at = zip(*(np.unique(half, return_inverse=True) for half in (every & low_mask, every >> low_bits)))
+        halves, at = zip(*(np.unique(half, return_inverse=True) for half in (draws & low_mask, draws >> low_bits)))
     tables = [_group_extremes(h, side) for h, side in zip(halves, sides)]
     rows = max(1, _BLOCK_BYTES // (2 * len(groups) + 16))  # per subset: two gathered columns, two intp indices
     pair = np.empty((2, len(groups), rows), dtype=np.uint8)
     lo, hi, size = np.empty((3, count), dtype=np.uint8)
     for start in range(0, count, rows):
-        block = subsets(start, min(start + rows, count))
+        end = min(start + rows, count)
+        block = np.arange(start, end, dtype=masks.dtype) if draws is None else draws[start:end]
         n = block.size
-        index = (block & low_mask, block >> low_bits) if at is None else [inverse[start:start + n] for inverse in at]
+        index = (block & low_mask, block >> low_bits) if at is None else [inverse[start:end] for inverse in at]
         for e, (reduce, out) in enumerate(((np.minimum, lo), (np.maximum, hi))):
             a, b = (np.take(table[e], i, axis=1, out=side[:, :n]) for side, table, i in zip(pair, tables, index))
-            reduce.reduce(np.add(a, b, out=a), axis=0, out=out[start:start + n])
-        np.bitwise_count(block, out=size[start:start + n])
+            reduce.reduce(np.add(a, b, out=a), axis=0, out=out[start:end])
+        np.bitwise_count(block, out=size[start:end])
     return lo, hi, size
 
 

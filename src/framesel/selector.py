@@ -542,28 +542,29 @@ class CertificateReport:
 _REPLAY_CHUNK_BYTES = 256 * 1024  # the T_j of one replay chunk: 256 steps at k = 8, 4 at k = 64
 
 
-def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterator[tuple]:
-    """Rebuild T_j = T_{j-1} + v (x) v for the 1-based ``order`` against the barriers ``values``, a chunk at a time.
+def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> tuple:
+    """Rebuild T_j = T_{j-1} + v (x) v for the 1-based ``order`` against the barriers ``values``.
 
-    Yields per chunk, over its replayed steps: U, the spectra of the T_j, Phi^{a_j}(T_j) for each step that does not
-    end the replay, ``_advance``'s failure texts by step number, and the T_j, views that a later chunk overwrites.
-    U = ||x||^2 / gap + Re <v, x> with x = (a_j I - T_{j-1})^{-1} v, since that resolvent is Hermitian. The T_j are
-    built by in-place adds in selection order; their spectra (eigvalsh of the symmetrized T_j), solves and vecdots
+    Returns, over the replayed steps: U, the spectra of the T_j, Phi^{a_j}(T_j) for each step that does not end the
+    replay, ``_advance``'s failure texts by step number, and the last finite T_j. U = ||x||^2 / gap + Re <v, x> with
+    x = (a_j I - T_{j-1})^{-1} v, since that resolvent is Hermitian. The T_j are built by in-place adds in selection
+    order, a chunk of steps at a time; per chunk their spectra (eigvalsh of the symmetrized T_j), solves and vecdots
     take one stacked call each, with the bits of one call per step, and gaps, Phi and checks are array expressions.
 
     The replay ends at the first step whose norm reaches its barrier or whose T_j is not finite, which counts as an
-    infinite spectrum: that step yields no Phi and, if T_j is not finite, T_{j-1}. Nothing past it is solved.
+    infinite spectrum: that step has no Phi and, if T_j is not finite, leaves T_{j-1} as the last T. Nothing past it
+    is solved. Overflow inside the replay is expected, so it runs under its own errstate.
     """
     k, order = F.k, np.asarray(order, dtype=np.int64)
     c = max(1, _REPLAY_CHUNK_BYTES // (16 * k * k))
     sums = np.zeros((c + 1, k, k), dtype=np.complex128)  # T_lo, ..., T_{lo+c}
     work = np.empty((c, k, k), dtype=np.complex128)      # the symmetrized T_j, then a_j I - T_{j-1}
-    eigenvalues = np.zeros((1, k))                        # the spectrum of T_lo
-    phi = _potential(eigenvalues[0], float(values[0]))
-    for lo in range(0, len(order), c):
-        vs = F.vectors[order[lo : lo + c] - 1]
-        T, spectra = sums[1 : len(vs) + 1], np.full((len(vs), k), np.inf)
-        with np.errstate(over="ignore", invalid="ignore"):  # per chunk: the caller's errstate holds across a yield
+    us, spectra, phis = np.empty(len(order)), np.full((len(order) + 1, k), np.inf), np.empty(len(order) + 1)
+    spectra[0], phis[0], failures = 0.0, _potential(np.zeros(k), float(values[0])), {}  # T_0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(order), c):
+            vs = F.vectors[order[lo : lo + c] - 1]
+            T, spectrum, a = sums[1 : len(vs) + 1], spectra[lo : lo + len(vs) + 1], values[lo : lo + len(vs) + 1]
             np.multiply(vs[:, :, None], vs.conj()[:, None, :], out=T)
             for i in range(len(vs)):
                 T[i] += sums[i]
@@ -571,27 +572,27 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> Iterato
             sym += T
             finite = np.isfinite(sym.view(np.float64)).all(axis=(1, 2))
             stop = len(vs) if finite.all() else int(finite.argmin())  # the first T_j not finite
-            spectra[:stop] = np.linalg.eigvalsh(np.multiply(sym[:stop], 0.5, out=sym[:stop]))
-            a = values[lo : lo + len(vs) + 1]
-            crossed = np.flatnonzero(spectra[:, -1] >= a[1:])
+            spectrum[1 : stop + 1] = np.linalg.eigvalsh(np.multiply(sym[:stop], 0.5, out=sym[:stop]))
+            crossed = np.flatnonzero(spectrum[1:, -1] >= a[1:])
             end = int(crossed[0]) + 1 if crossed.size else len(vs)  # the steps to replay
             shifted = np.negative(sums[:end], out=work[:end])  # eigvalsh has copied sym
             shifted.reshape(end, k * k)[:, :: k + 1] += a[1 : end + 1, None]
             xs = np.linalg.solve(shifted, vs[:end, :, None])[..., 0]
-            gaps = _gap(np.concatenate((eigenvalues, spectra[: end - 1])), a[:end], a[1 : end + 1])
-            us = np.vecdot(xs, xs).real / gaps + np.vecdot(vs[:end], xs).real
+            gaps = _gap(spectrum[:end], a[:end], a[1 : end + 1])
+            us[lo : lo + end] = np.vecdot(xs, xs).real / gaps + np.vecdot(vs[:end], xs).real
             last = end - 1 if crossed.size else end  # the steps that keep the replay going
-            phis = _potential(spectra[:last], a[1 : last + 1])
-            before = np.append(phi, phis)  # Phi of T_{j-1} at a_{j-1}
-            rows = np.flatnonzero(np.append(phis > before[:-1] + _POTENTIAL_SLACK, crossed.size > 0))  # rise, crossing
-            failures = {lo + i + 1: _advance(float(before[i]), spectra[i], float(a[i + 1]))[1] for i in rows}
-            if end > stop:  # yield T_{j-1}; every operand before T_j is finite, and numpy names overflow first
+            phi = phis[lo : lo + last + 1]  # Phi of T_lo, then of the steps that go on
+            phi[1:] = _potential(spectrum[1 : last + 1], a[1 : last + 1])
+            rows = np.flatnonzero(np.append(phi[1:] > phi[:-1] + _POTENTIAL_SLACK, crossed.size > 0))  # rise, crossing
+            failures.update({lo + i + 1: _advance(float(phi[i]), spectrum[i + 1], float(a[i + 1]))[1] for i in rows})
+            if end > stop:  # every operand before T_j is finite, and numpy names overflow first
                 op = "add" if np.isfinite(np.outer(vs[stop], vs[stop].conj())).all() else "multiply"
-                failures[lo + end], sums[end] = f"T_{lo + end} is not finite (overflow encountered in {op})", sums[stop]
-        yield us, spectra[:end], phis, failures, sums[1 : end + 1]
-        if last < end:
-            return
-        eigenvalues, phi, sums[0] = spectra[end - 1 :], before[-1], sums[len(vs)]
+                failures[lo + end] = f"T_{lo + end} is not finite (overflow encountered in {op})"
+            if last < end:  # the last finite sum is T_{j-1} if T_j is not finite
+                j = lo + end
+                return us[:j], spectra[1 : j + 1], phis[1:j], failures, sums[min(end, stop)]
+            sums[0] = sums[len(vs)]
+    return us, spectra[1:], phis[1:], failures, sums[0]
 
 
 def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> CertificateReport:
@@ -633,10 +634,7 @@ def verify_certificate(F: FrameFamily, cert: SelectionCertificate) -> Certificat
     if not (count_ok and set_ok):
         return CertificateReport(checks=tuple(checks))
 
-    no_step = (np.empty(0), np.empty((0, F.k)), np.empty(0), {}, np.zeros((1, F.k, F.k), dtype=np.complex128))  # T_0
-    us, spectra, phis, failed, T = zip(no_step, *_replay(F, chosen_order, expected.values))  # run to its end
-    us, spectra, phis, T = np.concatenate(us), np.concatenate(spectra), np.concatenate(phis), T[-1][-1]
-    failures = {j: text for chunk in failed for j, text in chunk.items()}
+    us, spectra, phis, failures, T = _replay(F, chosen_order, expected.values)
     lams, r, p = spectra[:, -1], len(us), len(phis)  # r steps replayed, p with a Phi: all but one that stopped
     margins = expected.values[1 : r + 1] - lams
     min_step = int(margins.argmin()) + 1 if r else None  # the first of equal margins

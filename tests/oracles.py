@@ -308,23 +308,26 @@ def dichotomy_by_sets(N: int, points, subsets) -> dict:
     return tally
 
 
-def count_extremes_all_points(masks: np.ndarray, subsets, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def count_extremes_all_points(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) -> tuple[np.ndarray, ...]:
     """Per subset: min and max over the points of |A intersect S|, and |S|, as uint8.
 
     The direct route against ``katz._count_extremes``'s split masks: every
     subset is ANDed with every point and popcounted, and each row reduced.
-    ``subsets(start, stop)`` gives subsets start..stop - 1 as masks of
-    ``masks.dtype``; they go in blocks whose AND with every point fills
-    about ``_KATZ_BLOCK_BYTES``. ``masks`` is only read.
+    The subsets are ``draws``, masks of ``masks.dtype``, or every mask of the
+    lowest 2 * ``low_bits`` bits in order when ``draws`` is None; they go in
+    blocks whose AND with every point fills about ``_KATZ_BLOCK_BYTES``.
+    ``masks`` is only read.
     """
     rows = max(1, _KATZ_BLOCK_BYTES // max(1, masks.nbytes))
     buf = np.empty((rows, masks.size), dtype=masks.dtype)
     cnt = np.empty((rows, masks.size), dtype=np.uint8)
+    count = 1 << 2 * low_bits if draws is None else draws.size
     lo = np.empty(count, dtype=np.uint8)
     hi = np.empty(count, dtype=np.uint8)
     size = np.empty(count, dtype=np.uint8)
     for start in range(0, count, rows):
-        block = subsets(start, min(start + rows, count))
+        end = min(start + rows, count)
+        block = np.arange(start, end, dtype=masks.dtype) if draws is None else draws[start:end]
         n = block.size
         np.bitwise_and(masks, block[:, None], out=buf[:n])
         np.bitwise_count(buf[:n], out=cnt[:n])

@@ -9,6 +9,8 @@ import pytest
 
 from framesel import (
     FrameFamily,
+    KatzSystem,
+    SelectionError,
     complement_lower_bound,
     harmonic_frame,
     load_certificate,
@@ -20,9 +22,11 @@ from framesel import (
     selector,
     verify_certificate,
 )
+from framesel import cli
 from framesel.cli import CSV_COLUMNS, main
 
 DATA = Path(__file__).resolve().parent / "data"
+DEEP = "[" * 200_000 + "]" * 200_000  # nested deeper than json's decoder can recurse
 
 
 def run(*argv):
@@ -158,6 +162,19 @@ class TestSelect:
         bad = tmp_path / "scaled.json"
         bad.write_text(json.dumps(data))
         assert run("select", "--frame", bad, "--n", 2, "--out", tmp_path / "c.json") == 2
+
+    def test_selection_failure_prints_its_u_profile(self, frame_file, tmp_path, monkeypatch, capsys):
+        def no_candidate(F, n):
+            raise SelectionError("no feasible candidate at step 3", u_profile=np.array([3.0, 1.5, 2.25, 4.0]))
+
+        monkeypatch.setattr(cli, "select_subset", no_candidate)
+        out = tmp_path / "c.json"
+        assert run("select", "--frame", frame_file, "--n", 9, "--out", out) == 1
+        assert capsys.readouterr() == ("", (
+            "failure: no feasible candidate at step 3\n"
+            "diagnostic: 4 candidates, min U = 1.5, median U = 3\n"
+        ))
+        assert not out.exists()
 
     def test_threads_flag_is_a_usage_error(self, frame_file, tmp_path):
         assert run("select", "--frame", frame_file, "--n", 9, "--threads", 4, "--out", tmp_path / "c.json") == 2
@@ -296,6 +313,32 @@ class TestRefusals:
         assert capsys.readouterr() == ("", f"error: {text}\n")
         assert list(tmp_path.iterdir()) == []
 
+    # a frame or certificate file that cannot be used: exit 2, one error line, nothing written
+    @pytest.mark.parametrize("command, name, edit, text", [
+        ("select", "frame", DEEP, "malformed JSON input: maximum recursion depth exceeded"),
+        ("verify", "frame", DEEP, "malformed JSON input: maximum recursion depth exceeded"),
+        ("verify", "cert", DEEP, "malformed JSON input: maximum recursion depth exceeded"),
+        ("select", "frame", {"N": 1}, "norm parameter N must be at least 2, got 1\n"),
+        ("select", "frame", {"k": 0}, "frame vectors: expected 36 rows of 0 [re, im] pairs, got shape (36, 4, 2)\n"),
+        ("select", "frame", {"N": 10}, "invalid frame: FAIL: m=36 (expected 40), "),
+        ("select", "frame", {"N": 10**400}, f"invalid frame: FAIL: m=36 (expected {4 * 10**400}), "),
+    ], ids=["select-deep-frame", "verify-deep-frame", "verify-deep-cert", "N-one", "k-zero", "m-not-kN", "huge-N"])
+    def test_unusable_file_exits_2_with_one_error_line(self, command, name, edit, text, frame_file, tmp_path, capsys):
+        files = {"frame": frame_file, "cert": tmp_path / "cert.json"}
+        assert run("select", "--frame", frame_file, "--n", 9, "--out", files["cert"]) == 0
+        data = json.loads(files[name].read_text())
+        files[name].write_text(edit if isinstance(edit, str) else json.dumps(dict(data, **edit)))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        if command == "select":
+            assert run("select", "--frame", frame_file, "--n", 9, "--out", out) == 2
+        else:
+            assert run("verify", "--frame", frame_file, "--cert", files["cert"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {text}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not out.exists()
+
 
 class TestKatz:
     def test_exhaustive_run(self, tmp_path, capsys):
@@ -319,6 +362,23 @@ class TestKatz:
 
     def test_rejects_nonpositive_n(self, tmp_path):
         assert run("katz", "--N", 0, "--out", tmp_path / "k.json") == 2
+
+    def test_failed_dichotomy_exits_one(self, tmp_path, monkeypatch, capsys):
+        # two disjoint points: S = {1, 3} meets each once, so g_S = 1/2 everywhere
+        def doctored(N):
+            masks = np.array([0b0011, 0b1100], dtype=np.uint64)
+            masks.setflags(write=False)
+            return KatzSystem(N=N, masks=masks)
+
+        monkeypatch.setattr(cli, "build_katz", doctored)
+        out = tmp_path / "k.json"
+        assert run("katz", "--N", 2, "--out", out) == 1
+        assert capsys.readouterr() == (
+            f"wrote {out}\nN = 2, exhaustive: 16 subsets, 7 with min 0, 7 with max 1, 4 confined\ndichotomy FAILED\n",
+            "",
+        )
+        data = json.loads(out.read_text())
+        assert data["passed"] is False and data["violations"] == [[1, 3], [2, 3], [1, 4], [2, 4]]
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_sampled_needs_a_positive_trial_count(self, trials, tmp_path, capsys):
@@ -441,6 +501,24 @@ class TestVerify:
             "",
         )
 
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_spectrum_of_the_wrong_length_is_rejected_with_a_report(self, size, tmp_path, capsys):
+        F = harmonic_frame(4, 9)
+        frame, cert = tmp_path / "frame.json", tmp_path / "cert.json"
+        save_frame(F, frame)
+        data = selector.certificate_to_dict(select_subset(F, 10))
+        data["final"]["eigenvalues"] = data["final"]["eigenvalues"][:3] + [0.25] * (size - 3)
+        cert.write_text(json.dumps(data))
+        assert run("verify", "--frame", frame, "--cert", cert) == 1
+        assert capsys.readouterr() == (
+            "FAIL compatibility: frame/certificate mismatch: "
+            f"frame dimension 4, certificate spectrum has {size} entries\n"
+            "final margin a_n - lambda_max = nan\n"
+            "smallest per-step margin      = nan\n"
+            "certificate REJECTED\n",
+            "",
+        )
+
     def test_wrong_frame_fails_with_mismatch(self, frame_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         run("select", "--frame", frame_file, "--n", 12, "--out", cert)
@@ -497,3 +575,14 @@ class TestParser:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    @pytest.mark.parametrize("argv, text", [
+        (("gen", "--k", 0, "--N", 3), "framesel gen: error: argument --k: must be a positive integer, got 0"),
+        (("sweep", "--k", 2, "--N-list", "3,x"),
+         "framesel sweep: error: argument --N-list: expected comma-separated integers, got '3,x'"),
+    ], ids=["gen-k-zero", "sweep-N-list-not-integers"])
+    def test_bad_argument_value_exits_2(self, argv, text, tmp_path, capsys):
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines()[-1] == text
+        assert list(tmp_path.iterdir()) == []

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from framesel import frames
 from framesel import (
     DiagonalSelector,
     FrameError,
@@ -224,6 +225,15 @@ class TestProjectionDuality:
         P = np.full((3, 3), 1.0 / 3.0, dtype=np.complex128)
         with pytest.raises(FrameError):
             projection_to_frame(P, 2)
+
+    def test_projection_to_frame_refuses_a_trace_off_m_over_n(self, monkeypatch):
+        # the zero projection's diagonal 0 is within tolerance of 1/N at huge N, and N does not divide 3
+        with pytest.raises(FrameError, match=r"^rank m/N = 3/10000000000 is not integral$"):
+            projection_to_frame(np.zeros((3, 3)), 10**10)
+        # at a tolerance of 1/2 the zero projection passes as diagonal 1/2, with rank 0, not m/N = 1
+        monkeypatch.setattr(frames, "_FRAME_TOL", 0.5)
+        with pytest.raises(FrameError, match=r"^rank 0 does not match trace m/N = 1$"):
+            projection_to_frame(np.zeros((2, 2)), 2)
 
 
 class TestCompressedGram:

@@ -65,29 +65,31 @@ def bits(value):
 
 
 def replay_steps(F, steps, values):
-    """``selector._replay``'s chunks flattened into the per-step oracle's (U, spectrum, Phi, failure, T_j) tuples."""
-    lo = 0
-    for us, spectra, phis, failures, sums in selector._replay(F, steps, values):
-        assert len(us) == len(spectra) == len(sums) and len(phis) in (len(us), len(us) - 1)
-        assert set(failures) <= set(range(lo + 1, lo + len(us) + 1))
-        for i in range(len(us)):
-            yield float(us[i]), spectra[i], float(phis[i]) if i < len(phis) else None, failures.get(lo + i + 1), sums[i]
-        lo += len(us)
+    """``selector._replay``'s arrays as the per-step oracle's (U, spectrum, Phi, failure) tuples, and its last T."""
+    us, spectra, phis, failures, T = selector._replay(F, steps, values)
+    assert len(us) == len(spectra) and len(phis) in (len(us), len(us) - 1)
+    assert set(failures) <= set(range(1, len(us) + 1))
+    phis = [float(phi) for phi in phis] + [None]  # None for a step that ends the replay
+    return [(float(u), s, phi, failures.get(j)) for j, (u, s, phi) in enumerate(zip(us, spectra, phis), 1)], T
 
 
 def replays_alike(F, steps, values):
-    """Assert that ``selector._replay`` yields the per-step oracle's bits; return the steps replayed."""
-    chunked = replay_steps(F, steps, values)
-    j = 0
-    for want in replay_per_step(F, steps, values):
-        got = next(chunked)
-        j += 1
-        assert type(got[2]) is type(want[2])
-        assert [bits(x) for x in got] == [bits(x) for x in want], f"step {j}"
-        if want[2] is None:  # a crossing or an overflow: the oracle has no end of its own
+    """Assert that ``selector._replay`` has the per-step oracle's bits; return the steps replayed.
+
+    Every step's U, spectrum, Phi and failure must match, and the returned T the oracle's last finite T_j.
+    """
+    got, T = replay_steps(F, steps, values)
+    want = []
+    for step in replay_per_step(F, steps, values):
+        want.append(step)
+        if step[2] is None:  # a crossing or an overflow: the oracle has no end of its own
             break
-    assert next(chunked, None) is None
-    return j
+    assert len(got) == len(want)
+    for j, (g, w) in enumerate(zip(got, want), 1):
+        assert type(g[2]) is type(w[2])
+        assert [bits(x) for x in g] == [bits(x) for x in w[:4]], f"step {j}"
+    assert bits(T) == bits(want[-1][4] if want else np.zeros((F.k, F.k), dtype=np.complex128))
+    return len(got)
 
 
 # Steps 4 and 5 of this order have U > 1 and a rising Phi, and its norm stays under the barriers.
@@ -561,8 +563,8 @@ class TestReplay:
         values = cert.schedule.values
         T = np.zeros((F.k, F.k), dtype=np.complex128)
         eig = eigh(T)
-        replay = replay_steps(F, order(cert), values)
-        for j, (u, eigenvalues, phi, failure, _) in enumerate(replay, 1):
+        replay, _ = replay_steps(F, order(cert), values)
+        for j, (u, eigenvalues, phi, failure) in enumerate(replay, 1):
             a, a_next = values[j - 1], values[j]
             v = F.vectors[cert.steps[j - 1].index - 1]
             lam = eig.eigenvalues
@@ -636,7 +638,7 @@ class TestReplay:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        steps = list(replay_steps(F, list(range(1, 21)), values))
+        steps, _ = replay_steps(F, list(range(1, 21)), values)
         assert len(steps) == 19 and steps[-1][3].startswith("norm bound breached")
         assert sum(solved) == 19
 
@@ -659,7 +661,7 @@ class TestReplay:
         set_chunk(monkeypatch, G, 4)
         with np.errstate(over="raise", invalid="raise"):
             assert replays_alike(G, steps, cert.schedule.values) == j
-            *_, (u, spectrum, phi, message, T) = replay_steps(G, steps, cert.schedule.values)
+            (*_, (u, spectrum, phi, message)), T = replay_steps(G, steps, cert.schedule.values)
         assert phi is None and message.startswith(failure)
         if "not finite" in failure:
             assert np.isinf(spectrum).all()
@@ -689,8 +691,8 @@ class TestReplay:
         F, cert = report_case("U-exceeds")
         set_chunk(monkeypatch, F, chunk)
         assert replays_alike(F, INFEASIBLE_ORDER, cert.schedule.values) == 10
-        replay = replay_steps(F, INFEASIBLE_ORDER, cert.schedule.values)
-        failures = {j: failure for j, (_, _, _, failure, _) in enumerate(replay, 1) if failure is not None}
+        replay, _ = replay_steps(F, INFEASIBLE_ORDER, cert.schedule.values)
+        failures = {j: failure for j, (_, _, _, failure) in enumerate(replay, 1) if failure is not None}
         assert list(failures) == [4, 5] and all(f.startswith("potential rose") for f in failures.values())
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -735,7 +737,7 @@ class TestReplay:
         set_chunk(monkeypatch, G, 4)
         with np.errstate(over="raise", invalid="raise"):
             assert replays_alike(G, steps, cert.schedule.values) == 5
-            *_, (u, spectrum, phi, message, T) = replay_steps(G, steps, cert.schedule.values)
+            (*_, (u, spectrum, phi, message)), _ = replay_steps(G, steps, cert.schedule.values)
         assert phi is None and message.startswith("norm bound breached")
 
     @pytest.mark.parametrize("chunk", [1, 3, 4])
@@ -749,12 +751,12 @@ class TestReplay:
             want = list(replay_per_step(G, steps, values))
         assert len(want) == 5 and want[-1][3] == STOPS[kind][1].format(j=5)
         caller = np.geterr()
-        for _ in selector._replay(G, steps, values):
-            assert np.geterr() == caller  # the replay's own errstate stays inside the chunk
-        got = replay_steps(G, steps, values)
-        for j, step in enumerate(want, 1):
-            assert [bits(x) for x in next(got)] == [bits(x) for x in step], f"step {j}"
-        assert next(got, None) is None
+        got, T = replay_steps(G, steps, values)
+        assert np.geterr() == caller  # the replay's own errstate ends with it
+        assert len(got) == len(want)
+        for j, (g, w) in enumerate(zip(got, want), 1):
+            assert [bits(x) for x in g] == [bits(x) for x in w[:4]], f"step {j}"
+        assert bits(T) == bits(want[-1][4])
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(
