@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 
@@ -262,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # BarrierError is a ValueError, so the failure clause must come first
     except (SelectionError, ToleranceBreachError, BarrierError) as exc:
         print(f"failure: {exc}", file=sys.stderr)

@@ -180,7 +180,7 @@ def rescale_norms(F: FrameFamily) -> FrameFamily:
     """
     with np.errstate(over="ignore"):  # an infinite deviation is refused below
         norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
-    dev = float(np.max(np.abs(norms2 - 1.0 / F.N))) if F.m else 0.0
+    dev = float(np.max(np.abs(norms2 - 1 / F.N))) if F.m else 0.0  # 1 / N is 0.0 at a huge N, where 1.0 / N overflows
     if dev > _RESCALE_LIMIT:
         raise FrameError(
             f"norm deviation {dev:.3e} exceeds the rescale limit {_RESCALE_LIMIT:.1e}"
@@ -323,7 +323,7 @@ def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except RecursionError as exc:  # nesting deeper than the decoder's stack
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nesting deeper than the decoder's stack
             raise ValueError(f"malformed JSON input: {exc}") from None
 
 

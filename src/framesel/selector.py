@@ -101,27 +101,21 @@ _POTENTIAL_SLACK = 1e-10   # allowed potential rise per step
 _GAP_FLOOR = 1e-14         # smallest usable potential gap
 
 
-def _potential(eigenvalues: np.ndarray, a) -> float | np.ndarray:
-    stacked = eigenvalues.ndim > 1
-    if (a <= eigenvalues[:, -1]).any() if stacked else a <= eigenvalues[-1]:
-        raise BarrierError(f"barrier violated: a = {a} <= lambda_max = {eigenvalues[..., -1]}")
-    phi = (1.0 / ((a[:, None] if stacked else a) - eigenvalues)).sum(-1)  # the method skips np.sum's dispatch
-    return phi if stacked else float(phi)
+def _potential(eigenvalues: np.ndarray, a: float) -> float:
+    if a <= eigenvalues[-1]:
+        raise BarrierError(f"barrier violated: a = {a} <= lambda_max = {eigenvalues[-1]}")
+    return float((1.0 / (a - eigenvalues)).sum())  # the method skips np.sum's dispatch
 
 
-# The barrier step from (T, a, a'), shared by every caller: the potential gap,
-# U over a block of rows, and the update T -> T + v (x) v with its two checks. Phi and the gap also take a
-# stack of spectra (c, k) with (c,) arrays a, a_next: a sum along each contiguous row keeps the one-spectrum bits.
+# The barrier step from (T, a, a') for one spectrum: the potential gap, U over a block of rows,
+# and the update T -> T + v (x) v with its two checks.
 
-def _gap(eigenvalues: np.ndarray, a, a_next) -> float | np.ndarray:
+def _gap(eigenvalues: np.ndarray, a: float, a_next: float) -> float:
     # Phi^a - Phi^{a_next} without cancellation: sum (a_next - a)/((a - l)(a_next - l))
-    stacked = eigenvalues.ndim > 1
-    col, col_next = (a[:, None], a_next[:, None]) if stacked else (a, a_next)
-    gap = (a_next - a) * (1.0 / ((col - eigenvalues) * (col_next - eigenvalues))).sum(-1)
-    low = gap <= _GAP_FLOOR
-    if low.any() if stacked else low:  # name the first
-        raise BarrierError(f"potential gap {np.ravel(gap)[np.argmax(low)]:.3e} at or below the floor {_GAP_FLOOR:.1e}")
-    return gap if stacked else float(gap)
+    gap = float((a_next - a) * (1.0 / ((a - eigenvalues) * (a_next - eigenvalues))).sum())
+    if gap <= _GAP_FLOOR:
+        raise BarrierError(f"potential gap {gap:.3e} at or below the floor {_GAP_FLOOR:.1e}")
+    return gap
 
 
 def _weights(eigenvalues: np.ndarray, a_next: float, gap: float) -> np.ndarray:
@@ -508,10 +502,11 @@ def _require_matching(F: FrameFamily, cert: SelectionCertificate) -> None:
             f"frame/certificate mismatch: frame dimension {F.k}, certificate spectrum "
             f"has {cert.eigenvalues.shape[0]} entries"
         )
-    m = F.m
+    if F.m != F.k * F.N:  # the schedule's formula takes m = k N, and 1/sqrt(N) overflows at a huge N
+        raise CertificateMismatchError(f"invalid frame: m = {F.m}, expected k N = {F.k * F.N}")
     for i in cert.indices:
-        if not 1 <= i <= m:
-            raise CertificateMismatchError(f"certificate index {i} outside 1..{m}")
+        if not 1 <= i <= sched.m:  # sched.m == F.m by now
+            raise CertificateMismatchError(f"certificate index {i} outside 1..{sched.m}")
 
 
 @dataclass(frozen=True)
@@ -578,11 +573,12 @@ def _replay(F: FrameFamily, order: Iterable[int], values: np.ndarray) -> tuple:
             shifted = np.negative(sums[:end], out=work[:end])  # eigvalsh has copied sym
             shifted.reshape(end, k * k)[:, :: k + 1] += a[1 : end + 1, None]
             xs = np.linalg.solve(shifted, vs[:end, :, None])[..., 0]
-            gaps = _gap(spectrum[:end], a[:end], a[1 : end + 1])
+            below, ahead = a[:end, None] - spectrum[:end], a[1 : end + 1, None] - spectrum[:end]
+            gaps = (a[1 : end + 1] - a[:end]) * (1.0 / (below * ahead)).sum(-1)  # _gap per row, far above its floor
             us[lo : lo + end] = np.vecdot(xs, xs).real / gaps + np.vecdot(vs[:end], xs).real
             last = end - 1 if crossed.size else end  # the steps that keep the replay going
             phi = phis[lo : lo + last + 1]  # Phi of T_lo, then of the steps that go on
-            phi[1:] = _potential(spectrum[1 : last + 1], a[1 : last + 1])
+            phi[1:] = (1.0 / (a[1 : last + 1, None] - spectrum[1 : last + 1])).sum(-1)  # _potential per row
             rows = np.flatnonzero(np.append(phi[1:] > phi[:-1] + _POTENTIAL_SLACK, crossed.size > 0))  # rise, crossing
             failures.update({lo + i + 1: _advance(float(phi[i]), spectrum[i + 1], float(a[i + 1]))[1] for i in rows})
             if end > stop:  # every operand before T_j is finite, and numpy names overflow first

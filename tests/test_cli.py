@@ -453,6 +453,42 @@ class TestVerify:
         assert "smallest per-step margin      = -inf" in captured.out
         assert "error:" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("N", [10**400, 10], ids=["huge-N", "m-not-kN"])
+    def test_a_frame_of_m_not_k_n_is_rejected_with_a_report(self, N, tmp_path, capsys):
+        # frame and certificate agree on N, but the frame's 36 vectors are not k N: no schedule applies,
+        # and at N = 10**400 the formula's 1/sqrt(N) would overflow
+        F = harmonic_frame(4, 9)
+        frame, cert = tmp_path / "frame.json", tmp_path / "cert.json"
+        save_frame(F, frame)
+        save_certificate(select_subset(F, 10), cert)
+        for path, header in ((frame, lambda data: data), (cert, lambda data: data["schedule"])):
+            data = json.loads(path.read_text())
+            header(data)["N"] = N
+            path.write_text(json.dumps(data))
+        assert run("verify", "--frame", frame, "--cert", cert) == 1
+        assert capsys.readouterr() == (
+            f"FAIL compatibility: invalid frame: m = 36, expected k N = {4 * N}\n"
+            "final margin a_n - lambda_max = nan\n"
+            "smallest per-step margin      = nan\n"
+            "certificate REJECTED\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("key, counts", [("steps", "|S| = 9, steps = 0"), ("indices", "|S| = 0, steps = 9")],
+                             ids=["steps", "final-indices"])
+    def test_an_empty_object_for_an_array_reads_as_no_entries(self, key, counts, frame_file, tmp_path, capsys):
+        # an empty JSON object iterates as no entries: the counts fail, and the report says so (exit 1, not 2)
+        cert = tmp_path / "cert.json"
+        assert run("select", "--frame", frame_file, "--n", 9, "--out", cert) == 0
+        data = json.loads(cert.read_text())
+        (data["final"] if key == "indices" else data)[key] = {}
+        cert.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", "--frame", frame_file, "--cert", cert) == 1
+        out, err = capsys.readouterr()
+        assert f"FAIL counts: {counts}, n = 9\n" in out
+        assert out.endswith("certificate REJECTED\n") and err == ""
+
     def test_huge_finite_crossing_is_rejected_with_a_report(self, tmp_path, capsys):
         # T_5 is finite, but its roundoff defect (1e182) is far above eigh's absolute Hermitian check
         F = harmonic_frame(4, 9)

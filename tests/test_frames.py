@@ -139,6 +139,12 @@ class TestValidation:
         with pytest.raises(FrameError):
             rescale_norms(wrong)
 
+    def test_rescale_refuses_a_huge_n_without_overflow(self):
+        # 1 / N is 0.0 at N = 10**400, so norms of 1/3 sit far outside the limit; 1.0 / N would overflow
+        F = FrameFamily(k=2, N=10**400, vectors=harmonic_frame(2, 3).vectors)
+        with pytest.raises(FrameError, match=r"^norm deviation 3\.333e-01 exceeds the rescale limit 1\.0e-06$"):
+            rescale_norms(F)
+
     def test_vectors_too_large_to_square_are_refused_without_warnings(self):
         # finite entries whose squares overflow; tier-1 turns any warning into an error
         F = harmonic_frame(4, 9)
@@ -220,10 +226,11 @@ class TestProjectionDuality:
         with pytest.raises(FrameError):
             projection_to_frame(P, 2)  # claims diagonal 1/2, actual 1/3
 
-    def test_projection_to_frame_rejects_non_integral_rank(self):
-        # projection of rank 1 on 3 points has diagonal 1/3 but N=2 does not divide m=3
+    def test_projection_to_frame_checks_the_diagonal_before_the_rank(self):
+        # the rank-1 projection on 3 points has diagonal 1/3, not 1/2; N = 2 does not divide m = 3 either,
+        # but the diagonal is read first (test_projection_to_frame_refuses_a_trace_off_m_over_n reaches m % N)
         P = np.full((3, 3), 1.0 / 3.0, dtype=np.complex128)
-        with pytest.raises(FrameError):
+        with pytest.raises(FrameError, match=r"^diagonal entries deviate from 1/2 by 1\.667e-01$"):
             projection_to_frame(P, 2)
 
     def test_projection_to_frame_refuses_a_trace_off_m_over_n(self, monkeypatch):

@@ -720,15 +720,18 @@ class TestReplay:
 
     @pytest.mark.parametrize("chunk, chunks", [(None, 7), (64, 25)], ids=["256-steps", "64-steps"])
     def test_the_replay_tail_runs_once_per_chunk(self, chunk, chunks, monkeypatch):
-        # 1600 steps at k = 8: a per-step tail would call _gap and _potential 1600 times
+        # 1600 steps at k = 8: the replay writes its gaps and Phi as array expressions over each chunk, so the
+        # one-spectrum helpers run only for Phi of T_0; its stacked LAPACK calls run once per chunk
         F = modulated_harmonic_frame(8, 400, seed=1)
         cert = select_subset(F, F.m // 2)
         if chunk is not None:
             set_chunk(monkeypatch, F, chunk)
         calls = {name: count_calls(monkeypatch, selector, name) for name in ("_gap", "_potential", "_advance")}
+        calls.update({name: count_calls(monkeypatch, np.linalg, name) for name in ("eigvalsh", "solve")})
         assert verify_certificate(F, cert).passed
         counts = {name: len(made) for name, made in calls.items()}
-        assert counts == {"_gap": chunks, "_potential": chunks + 1, "_advance": 0}  # _advance only words failures
+        # _advance only words failures
+        assert counts == {"_gap": 0, "_potential": 1, "_advance": 0, "eigvalsh": chunks, "solve": chunks}
 
     def test_crossing_ends_the_replay_before_a_later_overflow_in_its_chunk(self, monkeypatch):
         # T_5 = 0.8e308 per entry crosses its barrier; the chunk builds T_6 before it sees that,
