@@ -108,13 +108,16 @@ def build_katz(N: int) -> KatzSystem:
 
     Refuses when C(2N, N) exceeds ``_BUILD_CAP`` points; the
     closed-form range needs no enumeration and keeps working at any size.
+    C(2N, N) >= 2^N, so an N at or past the cap's bit length is refused
+    without computing the binomial, which has millions of digits at N = 10^6.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    size = math.comb(2 * N, N)
-    if size > _BUILD_CAP:
+    size = math.comb(2 * N, N) if N < _BUILD_CAP.bit_length() else None
+    if size is None or size > _BUILD_CAP:
+        shown = "" if size is None else f" = {size}"
         raise ValueError(
-            f"C({2 * N}, {N}) = {size} points exceeds the build cap {_BUILD_CAP}; "
+            f"C({2 * N}, {N}){shown} points exceeds the build cap {_BUILD_CAP}; "
             f"use closed_form_range for large N"
         )
     # In lexicographic order the r-subsets of {s, ..., 2N - 1} are those holding
@@ -200,7 +203,8 @@ def dichotomy_check(
     random subsets from a seeded generator and hands them over as an array.
     Either way ``_count_extremes`` meets every subset with every point
     through the low N and the high N bits of its mask, popcounting each
-    group of points once per distinct half of S, not once per subset. The
+    distinct set of low or high parts once per half value of S, not once
+    per subset: at most 2^(2N) popcounts for ``build_katz(N)``. The
     per-subset least and largest |A intersect S| are compared with the
     closed form in one vectorized pass, and the first 32 subsets confined
     strictly inside (0, 1), or off the closed form, are recorded by their
@@ -220,7 +224,10 @@ def dichotomy_check(
     draws = None  # every subset, in order
     if mode == "sampled":
         rng = np.random.default_rng(seed)
-        draws = rng.integers(0, 1 << g, size=trials, dtype=np.uint64).astype(masks.dtype, copy=False)
+        try:
+            draws = rng.integers(0, 1 << g, size=trials, dtype=np.uint64).astype(masks.dtype, copy=False)
+        except MemoryError as exc:  # a count that cannot be allocated is refused like one below 1
+            raise ValueError(f"{trials} trials do not fit in memory: {exc}") from exc
     lo, hi, size = _count_extremes(masks, draws, system.N)
     at_zero = lo == 0
     at_one = hi == system.N
@@ -251,8 +258,10 @@ def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) 
     from ``low_bits`` up form a group, and groups with equal low bits share a k,
     so the points are the products H_k x L_k and min |A intersect S| = min over
     k of (min over H_k of popcount(A_hi & S) + min over L_k of popcount(A_lo & S));
-    max likewise. Each term is tabled once per half of S: for every half value
-    if the subsets are at least as many, else for their distinct halves.
+    max likewise. Both terms read one table of the distinct sets among the L_k
+    and H_k (in ``build_katz``'s systems the same N + 1 sets, paired in reverse),
+    with a column per half of S: for every half value if the subsets are at
+    least as many, else for the distinct low and high halves together.
     """
     count = 1 << 2 * low_bits if draws is None else draws.size
     masks.sort()
@@ -263,13 +272,17 @@ def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) 
     groups: dict[bytes, list] = {}
     for top, start, stop in zip(tops, [0, *bounds], [*bounds, masks.size]):
         groups.setdefault(masks[start:stop].tobytes(), []).append(top)
-    sides = [np.frombuffer(key, masks.dtype) for key in groups], [np.array(t, masks.dtype) for t in groups.values()]
-    if count >= 1 << low_bits:  # a row for every half value, at the value itself
+    highs = [np.array(t, masks.dtype).tobytes() for t in groups.values()]
+    # each distinct point set of either side, to its row of the one table; the low sets, distinct keys, come first
+    sets = {key: row for row, key in enumerate(dict.fromkeys([*groups, *highs]))}
+    if count >= 1 << low_bits:  # a column for every half value, at the value itself
         at = None
-        halves = [np.arange(1 << low_bits, dtype=masks.dtype)] * 2
+        halves = np.arange(1 << low_bits, dtype=masks.dtype)
     else:
-        halves, at = zip(*(np.unique(half, return_inverse=True) for half in (draws & low_mask, draws >> low_bits)))
-    tables = [_group_extremes(h, side) for h, side in zip(halves, sides)]
+        halves, columns = np.unique(np.concatenate((draws & low_mask, draws >> low_bits)), return_inverse=True)
+        at = columns[:count], columns[count:]
+    extremes = _group_extremes(halves, [np.frombuffer(key, masks.dtype) for key in sets])
+    tables = extremes[:, :len(groups)], extremes[:, [sets[key] for key in highs]]
     rows = max(1, _BLOCK_BYTES // (2 * len(groups) + 16))  # per subset: two gathered columns, two intp indices
     pair = np.empty((2, len(groups), rows), dtype=np.uint8)
     lo, hi, size = np.empty((3, count), dtype=np.uint8)
@@ -285,14 +298,14 @@ def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) 
     return lo, hi, size
 
 
-def _group_extremes(halves: np.ndarray, sides: list[np.ndarray]) -> np.ndarray:
-    """(2, len(sides), halves.size) uint8: per side and half, min and max of popcount(value & half)."""
-    values = np.concatenate(sides)
-    starts = np.cumsum([0] + [side.size for side in sides[:-1]])
+def _group_extremes(halves: np.ndarray, sets: list[np.ndarray]) -> np.ndarray:
+    """(2, len(sets), halves.size) uint8: per set and half, min and max over the set of popcount(value & half)."""
+    values = np.concatenate(sets)
+    starts = np.cumsum([0] + [s.size for s in sets[:-1]])
     rows = max(1, min(halves.size, _BLOCK_BYTES // values.nbytes))
     buf = np.empty((rows, values.size), dtype=values.dtype)
     cnt = np.empty((rows, values.size), dtype=np.uint8)
-    table = np.empty((2, len(sides), halves.size), dtype=np.uint8)
+    table = np.empty((2, len(sets), halves.size), dtype=np.uint8)
     for start in range(0, halves.size, rows):
         block = halves[start:start + rows]
         n = block.size

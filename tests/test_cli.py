@@ -302,12 +302,14 @@ class TestRefusals:
          "C(22, 11) = 705432 points exceeds the build cap 200000; use closed_form_range for large N"),
         (("katz", "--N", 11, "--sampled"),
          "C(22, 11) = 705432 points exceeds the build cap 200000; use closed_form_range for large N"),
+        (("katz", "--N", 10**5),  # C(200000, 100000) has 60,204 digits, more than an int may print
+         "C(200000, 100000) points exceeds the build cap 200000; use closed_form_range for large N"),
         (("gen", "--k", 2, "--N", 2, "--kind", "modulated", "--seed", -1),
          "--seed must be a non-negative integer, got -1"),
         (("katz", "--N", 3, "--sampled", "--seed", -1), "--seed must be a non-negative integer, got -1"),
     ], ids=["gen-seed", "sweep-no-frame", "sweep-list-and-N", "sweep-half-range", "sweep-range-ratio",
-            "sweep-ratio-range", "katz-trials", "katz-out-of-reach", "katz-sampled-out-of-reach", "gen-negative-seed",
-            "katz-negative-seed"])
+            "sweep-ratio-range", "katz-trials", "katz-out-of-reach", "katz-sampled-out-of-reach",
+            "katz-far-out-of-reach", "gen-negative-seed", "katz-negative-seed"])
     def test_refusal_exits_2_with_one_error_line(self, argv, text, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path / "out") == 2
         assert capsys.readouterr() == ("", f"error: {text}\n")
@@ -385,6 +387,15 @@ class TestKatz:
         out = tmp_path / "k.json"
         assert run("katz", "--N", 3, "--sampled", "--trials", trials, "--out", out) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trials_past_memory_exit_two(self, tmp_path, capsys):
+        # 10^15 draws would take 8 PB: the allocation fails at once, without touching memory
+        out = tmp_path / "k.json"
+        assert run("katz", "--N", 1, "--sampled", "--trials", 10**15, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {10**15} trials do not fit in memory: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not out.exists()
 
     def test_trials_needs_sampled(self, tmp_path, capsys):

@@ -1,20 +1,27 @@
-"""Malformed frame and certificate files keep to the CLI's exit-code contract, by a property test.
+"""Malformed frame and certificate files, and out-of-range ``katz`` flags, keep to the CLI's exit-code contract,
+by property tests.
 
-Each example starts from a valid (4, 9) frame and its n = 10 certificate. It edits the frame and, independently,
-the certificate, or makes one edit to the field both files hold (N or m), so that the two still agree with each
-other. Then it runs ``select`` on the frame and ``verify`` on both files, in process. An edit replaces one node
-with a value that a loader must refuse or a check must catch, drops the node, cuts the text at a byte, or puts a
-byte order mark in front of it.
+Each file example starts from a valid (4, 9) frame and its n = 10 certificate. It edits the frame and,
+independently, the certificate, or makes one edit to the field both files hold (N or m), so that the two still
+agree with each other. Then it runs ``select`` on the frame and ``verify`` on both files, in process. An edit
+replaces one node with a value that a loader must refuse or a check must catch, drops the node, cuts the text at a
+byte, or puts a byte order mark in front of it. Each ``katz`` example draws --N, --trials and --seed from small,
+edge and huge integers, with or without --sampled.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framesel
 from framesel import harmonic_frame, select_subset
 from framesel.cli import main
 from framesel.frames import frame_to_dict
@@ -123,3 +130,66 @@ def test_malformed_files_keep_the_exit_code_contract(tmp_path):
     # every outcome that these edits can reach was reached: none of the checks above ran empty
     assert all(seen[outcome] for outcome in [("select", 0), ("select", 2), ("verify", 0), ("verify", 1),
                                              ("verify", 2)]), seen
+
+
+NUMBERS = (-1, 0, 1, 11, 10**5, 2**62, 10**15, 2**70)  # --N 1 builds; 10**15 draws cannot be allocated
+CAP_TEXT = "exceeds the build cap 200000; use closed_form_range for large N"
+
+
+def build_refusals(*Ns):
+    """build_katz's refusal text for each N, from a subprocess stopped after 20 s.
+
+    C(2N, N) has about 0.6 N digits, so computing it at such an N would run for hours; the timeout fails the
+    caller in place of hanging the suite.
+    """
+    src = str(Path(framesel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\nfrom framesel import build_katz\nfor N in map(int, sys.argv[1:]):\n"
+            "    try: build_katz(N)\n    except ValueError as exc: print(exc)")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, Ns)], env=env, capture_output=True, text=True,
+                          timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_build_katz_refuses_a_huge_n_at_once():
+    assert build_refusals(2**62) == [f"C({2**63}, {2**62}) points {CAP_TEXT}"]
+
+
+@st.composite
+def katz_argvs(draw):
+    """(N, trials, seed, sampled): each of the three numbers left out or drawn from NUMBERS, N always given."""
+    return (draw(st.sampled_from(NUMBERS)), draw(st.sampled_from([None, *NUMBERS])),
+            draw(st.sampled_from([None, *NUMBERS])), draw(st.booleans()))
+
+
+def test_katz_flags_keep_the_exit_code_contract(tmp_path):
+    # every N past the cap is refused before the fuzz meets it, so a slow refusal fails here and cannot hang
+    huge = [N for N in NUMBERS if N > 10]
+    assert [line.endswith(CAP_TEXT) for line in build_refusals(*huge)] == [True] * len(huge)
+    out = tmp_path / "katz.json"
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=katz_argvs())
+    def check(case):
+        N, trials, seed, sampled = case
+        argv = ["--N", N, *(["--sampled"] if sampled else [])]
+        argv += [*(["--trials", trials] if trials is not None else []), *(["--seed", seed] if seed is not None else [])]
+        out.unlink(missing_ok=True)
+        code, stdout, stderr = run("katz", *argv, "--out", out)
+        seen[code] += 1
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):  # one line on stderr, nothing on stdout, no report
+            assert stdout == "" and stderr.count("\n") == 1 and stderr.endswith("\n")
+            assert stderr.startswith("error: " if code == 2 else "i/o error: ")
+            assert not out.exists()
+        flags_apply = sampled or (trials is None and seed is None)
+        if N > 10 and flags_apply and (seed is None or seed >= 0):  # the flags pass, so build_katz refuses
+            assert code == 2 and stderr.endswith(CAP_TEXT + "\n")
+        if code == 0:
+            assert json.loads(out.read_text())["passed"] is True
+
+    check()
+    assert sum(seen.values()) == 300
+    assert seen[0] and seen[2], seen  # both outcomes these flags can reach were reached

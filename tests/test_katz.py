@@ -384,6 +384,47 @@ class TestSplitKernelAgainstAllPoints:
         self.check(system)
         self.check(system, sampled_draws(system.N, 200, 8))
 
+    # one table serves both sides; at N = 3, 5 draws are fewer than 2^N, so they get columns for their halves only
+    @pytest.mark.parametrize("masks", [
+        # low sets {3, 4, 5} and {0}, high sets {1, 2} and {7}: no set on both sides
+        [(h << 3) | low for h in (1, 2) for low in (3, 4, 5)] + [7 << 3],
+        # {2, 5} is the low set of the first group and the high set of the second
+        [(1 << 3) | 2, (1 << 3) | 5, (2 << 3) | 6, (5 << 3) | 6],
+        # a duplicated point: the low set (2, 2, 5) is not the high set {2, 5}
+        [(1 << 3) | 2, (1 << 3) | 2, (1 << 3) | 5, (2 << 3) | 6, (5 << 3) | 6],
+    ], ids=["one-side-only", "both-sides", "duplicated"])
+    def test_point_sets_shared_between_the_sides(self, masks):
+        system = system_of(3, masks)
+        self.check(system)
+        for seed in range(4):
+            self.check(system, sampled_draws(3, 5, seed))
+
+    def test_few_draws_whose_halves_coincide(self):
+        # 300 draws with both halves from one pool of 20: their 600 halves hold at most 20 values
+        pool = np.random.default_rng(12).integers(0, 1 << 10, 20)
+        rng = np.random.default_rng(13)
+        draws = (pool[rng.integers(0, 20, 300)] << 10) | pool[rng.integers(0, 20, 300)]
+        self.check(build_katz(10), draws.astype(np.uint64))
+
+
+class TestKernelWork:
+    """A check popcounts each distinct point set once per half value: 2^(2N) for the full system, in one table."""
+
+    @pytest.mark.parametrize("N, trials", [*(pytest.param(N, None, id=f"N{N}-exhaustive") for N in range(1, 11)),
+                                           pytest.param(10, 4000, id="N10-4000-draws")])
+    def test_popcounts_of_a_full_check(self, N, trials, monkeypatch):
+        popcounts = []
+        group_extremes = katz._group_extremes
+
+        def spy(halves, sets):
+            popcounts.append(halves.size * sum(s.size for s in sets))
+            return group_extremes(halves, sets)
+
+        monkeypatch.setattr(katz, "_group_extremes", spy)
+        mode = "exhaustive" if trials is None else "sampled"
+        report = dichotomy_check(build_katz(N), mode=mode, trials=trials or 1, seed=1)
+        assert report.passed and popcounts == [4 ** N]
+
 
 class TestInputsAreNotMutated:
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
