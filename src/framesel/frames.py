@@ -39,12 +39,12 @@ class FrameFamily:
             raise FrameError(f"dimension k must be positive, got {self.k}")
         if self.N < 2:
             raise FrameError(f"norm parameter N must be at least 2, got {self.N}")
-        vs = np.asarray(self.vectors, dtype=np.complex128)
+        # a private copy: the caller's array stays writable, and no view of it can change a validated frame
+        vs = np.array(self.vectors, dtype=np.complex128, order="C")
         if vs.ndim != 2 or vs.shape[1] != self.k:
             raise FrameError(f"vector array must have shape (m, {self.k}), got {vs.shape}")
         if not np.isfinite(vs).all():
             raise FrameError("frame vectors contain NaN or Inf")
-        vs = np.ascontiguousarray(vs)
         vs.setflags(write=False)
         object.__setattr__(self, "vectors", vs)
 
@@ -126,7 +126,9 @@ def _check_parameters(k: int, N: int) -> int:
 def _dft_rows(m: int, rows: np.ndarray) -> np.ndarray:
     """The DFT rows ``rows`` as m frame vectors: entry (i, d) is omega^(i rows[d]) / sqrt(m)."""
     i = np.arange(m, dtype=np.int64)[:, None]
-    return np.exp(2j * np.pi * ((i * rows[None, :]) % m) / m) / math.sqrt(m)
+    vectors = np.exp(2j * np.pi * ((i * rows[None, :]) % m) / m)
+    vectors /= math.sqrt(m)  # in place: FrameFamily copies what it is given, so temporaries cost twice
+    return vectors
 
 
 def harmonic_frame(k: int, N: int) -> FrameFamily:
@@ -152,7 +154,9 @@ def modulated_harmonic_frame(k: int, N: int, seed: int) -> FrameFamily:
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(m, size=k, replace=False))
     phases = np.exp(2j * np.pi * rng.random(m))
-    return FrameFamily(k=k, N=N, vectors=_dft_rows(m, rows) * phases[:, None])
+    vectors = _dft_rows(m, rows)
+    vectors *= phases[:, None]  # in place, as in _dft_rows
+    return FrameFamily(k=k, N=N, vectors=vectors)
 
 
 def validate_frame(F: FrameFamily, tol: float = _FRAME_TOL) -> FrameValidationReport:

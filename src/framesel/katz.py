@@ -202,13 +202,13 @@ def dichotomy_check(
     for N up to ``_EXHAUSTIVE_MAX_N``); sampled mode draws ``trials`` uniform
     random subsets from a seeded generator and hands them over as an array.
     Either way ``_count_extremes`` meets every subset with every point
-    through the low N and the high N bits of its mask, popcounting each
-    distinct set of low or high parts once per half value of S, not once
-    per subset: at most 2^(2N) popcounts for ``build_katz(N)``. The
-    per-subset least and largest |A intersect S| are compared with the
-    closed form in one vectorized pass, and the first 32 subsets confined
-    strictly inside (0, 1), or off the closed form, are recorded by their
-    members in subset order.
+    through the low N and the high N bits of its mask, tabling each
+    distinct set of low or high parts once per half value of S, not once per
+    subset: at least 2^N subsets of ``build_katz(N)`` take N passes over its N + 1
+    sets at every half value. The per-subset least and largest |A intersect S|
+    are compared with the closed form in place of the counts, and the first 32
+    subsets confined strictly inside (0, 1), or off the closed form, are
+    recorded by their members in subset order.
     """
     if mode == "auto":
         mode = "exhaustive" if system.N <= _EXHAUSTIVE_MAX_N else "sampled"
@@ -229,23 +229,25 @@ def dichotomy_check(
         except MemoryError as exc:  # a count that cannot be allocated is refused like one below 1
             raise ValueError(f"{trials} trials do not fit in memory: {exc}") from exc
     lo, hi, size = _count_extremes(masks, draws, system.N)
-    at_zero = lo == 0
-    at_one = hi == system.N
-    hi_expect = np.minimum(size, system.N)
-    mismatched = (hi != hi_expect) | (lo != size - hi_expect)  # lo_expect = |S| - min(|S|, N)
 
     def first_members(flags: np.ndarray) -> tuple[tuple[int, ...], ...]:
         return tuple(_members(int(i if draws is None else draws[i]), g) for i in np.flatnonzero(flags)[:32])
 
+    # flags overwrite the counts once read, so the one new count-long array is the closed-form max
+    expect = np.minimum(size, system.N)
+    np.not_equal(lo, np.subtract(size, expect, out=size), out=size)  # closed-form min: |S| - max
+    mismatches = first_members(np.bitwise_or(np.not_equal(hi, expect, out=expect), size, out=size))
+    at_zero, at_one = np.equal(lo, 0, out=lo), np.equal(hi, system.N, out=hi)
+    both_pinned = int(np.count_nonzero(np.bitwise_and(at_zero, at_one, out=size)))
     return DichotomyReport(
         N=system.N,
         mode=mode,
         subsets_checked=lo.size,
         min_pinned=int(np.count_nonzero(at_zero)),
         max_pinned=int(np.count_nonzero(at_one)),
-        both_pinned=int(np.count_nonzero(at_zero & at_one)),
-        violations=first_members(~(at_zero | at_one)),
-        closed_form_mismatches=first_members(mismatched),
+        both_pinned=both_pinned,
+        violations=first_members(np.equal(np.bitwise_or(at_zero, at_one, out=size), 0, out=size)),
+        closed_form_mismatches=mismatches,
     )
 
 
@@ -260,8 +262,8 @@ def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) 
     k of (min over H_k of popcount(A_hi & S) + min over L_k of popcount(A_lo & S));
     max likewise. Both terms read one table of the distinct sets among the L_k
     and H_k (in ``build_katz``'s systems the same N + 1 sets, paired in reverse),
-    with a column per half of S: for every half value if the subsets are at
-    least as many, else for the distinct low and high halves together.
+    with a column per half of S: for every half value (``_bit_extremes``) if the subsets
+    are at least as many, else for the distinct low and high halves (``_group_extremes``).
     """
     count = 1 << 2 * low_bits if draws is None else draws.size
     masks.sort()
@@ -275,13 +277,12 @@ def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) 
     highs = [np.array(t, masks.dtype).tobytes() for t in groups.values()]
     # each distinct point set of either side, to its row of the one table; the low sets, distinct keys, come first
     sets = {key: row for row, key in enumerate(dict.fromkeys([*groups, *highs]))}
+    point_sets = [np.frombuffer(key, masks.dtype) for key in sets]
     if count >= 1 << low_bits:  # a column for every half value, at the value itself
-        at = None
-        halves = np.arange(1 << low_bits, dtype=masks.dtype)
+        at, extremes = None, _bit_extremes(low_bits, point_sets)
     else:
         halves, columns = np.unique(np.concatenate((draws & low_mask, draws >> low_bits)), return_inverse=True)
-        at = columns[:count], columns[count:]
-    extremes = _group_extremes(halves, [np.frombuffer(key, masks.dtype) for key in sets])
+        at, extremes = (columns[:count], columns[count:]), _group_extremes(halves, point_sets)
     tables = extremes[:, :len(groups)], extremes[:, [sets[key] for key in highs]]
     rows = max(1, _BLOCK_BYTES // (2 * len(groups) + 16))  # per subset: two gathered columns, two intp indices
     pair = np.empty((2, len(groups), rows), dtype=np.uint8)
@@ -314,6 +315,30 @@ def _group_extremes(halves: np.ndarray, sets: list[np.ndarray]) -> np.ndarray:
         for reduce, out in zip((np.minimum, np.maximum), table):
             reduce.reduceat(cnt[:n], starts, axis=1, out=out[:, start:start + n].T)
     return table
+
+
+def _bit_extremes(low_bits: int, sets: list[np.ndarray]) -> np.ndarray:
+    """``_group_extremes`` at every half value 0 .. 2^low_bits - 1, by a min-plus transform over the bits.
+
+    popcount(value & half) sums over bits, so each set's indicator (0 at its values, low_bits + 1 where
+    absent) becomes its table in one pass per bit, as in Yates' method and the fast zeta transform:
+    new(h_b = 0) = min(x_b = 0, x_b = 1) and new(h_b = 1) = min(x_b = 0, (x_b = 1) + step), with step 1
+    on the min plane and -1 on the max plane, held negated. A pass pairs the two halves of the index range
+    and writes each pair interleaved (Stockham's order), so after low_bits passes every bit is back in place.
+    int8 holds it: absent entries stay in 1 .. 2 * low_bits + 1, above every real one, for low_bits < 64.
+    """
+    table = np.full((2, len(sets), 1 << low_bits), low_bits + 1, dtype=np.int8)
+    table[:, np.repeat(np.arange(len(sets)), [s.size for s in sets]), np.concatenate(sets)] = 0
+    spare = np.empty_like(table)
+    step = np.array([1, -1], dtype=np.int8)[:, None, None]
+    for _ in range(low_bits):
+        x0, x1 = table.reshape(2, len(sets), 2, -1).transpose(2, 0, 1, 3)
+        new0, new1 = spare.reshape(2, len(sets), -1, 2).transpose(3, 0, 1, 2)
+        np.minimum(x0, x1, out=new0)
+        np.minimum(x0, np.add(x1, step, out=new1), out=new1)
+        table, spare = spare, table
+    np.negative(table[1], out=table[1])
+    return table.view(np.uint8)
 
 
 def save_dichotomy_report(report: DichotomyReport, path) -> None:

@@ -91,6 +91,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             F.vectors[0, 0] = 0.0
 
+    def test_the_callers_array_is_copied(self):
+        # a view of the caller's array, taken before construction, must not reach the validated frame
+        vectors = harmonic_frame(2, 3).vectors.copy()
+        view = vectors[:]
+        F = FrameFamily(k=2, N=3, vectors=vectors)
+        assert validate_frame(F).passed
+        assert F.vectors is not vectors and vectors.flags.writeable and not F.vectors.flags.writeable
+        view[0, 0] = 5.0
+        vectors[1, 1] = 7.0
+        assert validate_frame(F).passed
+        assert np.array_equal(F.vectors, harmonic_frame(2, 3).vectors)
+
 
 class TestValidation:
     def test_doubled_vector_fails_parseval(self):

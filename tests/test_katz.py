@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesel import (
     KatzSystem,
@@ -318,6 +320,12 @@ class TestDichotomyAgainstSets:
         assert tally(report) == want
         assert not report.passed
 
+    def test_maximum_off_the_closed_form_alone(self):
+        # one point {1, 2}: S = {3, 4} meets it 0 to 0 times, where the closed form says 0 to 2, so only the max is off
+        report = dichotomy_check(system_of(2, [0b0011]), mode="exhaustive")
+        assert (3, 4) in report.closed_form_mismatches
+        assert tally(report) == dichotomy_by_sets(2, [{1, 2}], [ground_set(s, 4) for s in range(16)])
+
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_stray_high_bits_are_ignored(self, mode):
         system = stray_bit_system()
@@ -368,6 +376,8 @@ class TestSplitKernelAgainstAllPoints:
 
     def test_masks_wider_than_32_bits(self):
         self.check(system_of(17, wide_masks()), sampled_draws(17, 400, 9))
+        # 2^17 draws: the table over every half value, transformed over 17 bits of uint64 masks
+        self.check(system_of(17, wide_masks()[-12:]), sampled_draws(17, 1 << 17, 9))
 
     def test_halves_that_repeat(self):
         # at least 2^N draws: tables over every half value; fewer: over the distinct halves that np.unique finds
@@ -408,22 +418,76 @@ class TestSplitKernelAgainstAllPoints:
 
 
 class TestKernelWork:
-    """A check popcounts each distinct point set once per half value: 2^(2N) for the full system, in one table."""
+    """A full check builds its one table by the bit transform; fewer than 2^N draws popcount c·|D| in one table."""
+
+    def spy(self, monkeypatch):
+        """Per call of the table builders: the transform's (bits, sets), and the popcount builder's c·|D|."""
+        transforms, popcounts = [], []
+        bit_extremes, group_extremes = katz._bit_extremes, katz._group_extremes
+
+        def transform(low_bits, sets):
+            transforms.append((low_bits, len(sets)))
+            return bit_extremes(low_bits, sets)
+
+        def popcount(halves, sets):
+            popcounts.append(halves.size * sum(s.size for s in sets))
+            return group_extremes(halves, sets)
+
+        monkeypatch.setattr(katz, "_bit_extremes", transform)
+        monkeypatch.setattr(katz, "_group_extremes", popcount)
+        return transforms, popcounts
 
     @pytest.mark.parametrize("N, trials", [*(pytest.param(N, None, id=f"N{N}-exhaustive") for N in range(1, 11)),
                                            pytest.param(10, 4000, id="N10-4000-draws")])
     def test_popcounts_of_a_full_check(self, N, trials, monkeypatch):
-        popcounts = []
-        group_extremes = katz._group_extremes
-
-        def spy(halves, sets):
-            popcounts.append(halves.size * sum(s.size for s in sets))
-            return group_extremes(halves, sets)
-
-        monkeypatch.setattr(katz, "_group_extremes", spy)
+        # none: the one table is a transform over the N bits and the N + 1 distinct sets
+        transforms, popcounts = self.spy(monkeypatch)
         mode = "exhaustive" if trials is None else "sampled"
         report = dichotomy_check(build_katz(N), mode=mode, trials=trials or 1, seed=1)
-        assert report.passed and popcounts == [4 ** N]
+        assert report.passed and transforms == [(N, N + 1)] and popcounts == []
+
+    @pytest.mark.parametrize("N, trials", [(1, 1), (3, 7), (6, 40), (10, 300), (10, 1023)])
+    def test_popcounts_of_fewer_draws_than_half_values(self, N, trials, monkeypatch):
+        # c columns, one per distinct half among the draws, times |D| = 2^N: the N + 1 sets hold every N-bit value once
+        transforms, popcounts = self.spy(monkeypatch)
+        report = dichotomy_check(build_katz(N), mode="sampled", trials=trials, seed=1)
+        draws = sampled_draws(N, trials, 1)
+        columns = np.unique(np.concatenate((draws & (1 << N) - 1, draws >> N))).size
+        assert report.passed and transforms == [] and popcounts == [columns * 2 ** N]
+
+
+@st.composite
+def point_sets(draw):
+    """N and up to six non-empty sets of N-bit values (often 0 or 2^N - 1, repeats allowed) in one mask dtype."""
+    N = draw(st.integers(1, 12))
+    value = st.one_of(st.sampled_from([0, (1 << N) - 1]), st.integers(0, (1 << N) - 1))
+    dtype = draw(st.sampled_from([np.uint32, np.uint64]))
+    return N, [np.array(s, dtype=dtype) for s in draw(st.lists(st.lists(value, min_size=1, max_size=6),
+                                                              min_size=1, max_size=6))]
+
+
+class TestBitTransform:
+    """The min-plus transform over the bits equals the popcount table at every half value, bit for bit."""
+
+    def check(self, N, sets):
+        want = katz._group_extremes(np.arange(1 << N, dtype=sets[0].dtype), sets)
+        got = katz._bit_extremes(N, sets)
+        assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=point_sets())
+    def test_matches_popcounts(self, case):
+        self.check(*case)
+
+    def test_widest_half_in_the_suite(self):
+        # at N = 20 the min plane's absent entries climb from 21 to 41 and the max plane's fall to 1; int8 holds
+        # them up to N = 63, past the 32 bits of the widest half a uint64 mask has, whose table does not fit memory
+        N, top = 20, (1 << 20) - 1
+        got = self.check(N, [np.array(s, dtype=np.uint64) for s in ([0], [top], [top, 0, 0, 5 << 15])])
+        assert got[:, 0].max() == 0 and got[0, 1, top] == got[1, 1, top] == N
+        assert got[0, 2, top] == 0 and got[1, 2, top] == N and got[1, 2, 5 << 15] == 2
 
 
 class TestInputsAreNotMutated:
@@ -456,6 +520,12 @@ class TestMemory:
         # 2.48 MiB is the peak of a loop that makes a fresh uint64 masks & S per subset
         system = build_katz(10)
         assert traced_peak(lambda: dichotomy_check(system, mode="sampled", trials=64)) <= 2.48 * 2**20
+
+    def test_exhaustive_n10_flags_overwrite_the_counts(self):
+        # the kernel's three 2^20-long count arrays (3 MiB), the narrowed masks (0.7 MiB) and one count-long
+        # temporary make 4.7 MiB; a flag array per name beside the counts would make 9.7 MiB
+        system = build_katz(10)
+        assert traced_peak(lambda: dichotomy_check(system, mode="exhaustive")) <= 5 * 2**20
 
     def test_exhaustive_does_not_hold_every_subset(self):
         # all 2^16 subsets at once, with their AND and popcount rows, take about 3.7 MB
