@@ -277,6 +277,13 @@ def _number(value) -> float:
     return value
 
 
+def _array(value) -> list:
+    """``value`` if it is a JSON array; TypeError, naming the type, for objects, strings and the rest."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
 def _encode_complex_rows(rows: np.ndarray) -> list:
     # a complex128 entry is its [re, im] pair of doubles in memory
     return np.ascontiguousarray(rows, dtype=np.complex128)[..., None].view(np.float64).tolist()

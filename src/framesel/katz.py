@@ -23,6 +23,7 @@ divided by N, and reported ranges are fractions.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,10 +206,10 @@ def dichotomy_check(
     through the low N and the high N bits of its mask, tabling each
     distinct set of low or high parts once per half value of S, not once per
     subset: at least 2^N subsets of ``build_katz(N)`` take N passes over its N + 1
-    sets at every half value. The per-subset least and largest |A intersect S|
-    are compared with the closed form in place of the counts, and the first 32
-    subsets confined strictly inside (0, 1), or off the closed form, are
-    recorded by their members in subset order.
+    sets at every half value. The report reads the kernel a block of subsets at
+    a time, tallies each block against the closed form, and decodes the first 32
+    subsets confined strictly inside (0, 1), and the first 32 off the closed
+    form, in subset order.
     """
     if mode == "auto":
         mode = "exhaustive" if system.N <= _EXHAUSTIVE_MAX_N else "sampled"
@@ -219,40 +220,37 @@ def dichotomy_check(
     if system.num_points == 0:
         raise ValueError("the system has no points: g_S has no min or max on an empty point set")
 
-    g = system.ground_size
     masks = _narrowed_masks(system)
     draws = None  # every subset, in order
     if mode == "sampled":
         rng = np.random.default_rng(seed)
         try:
-            draws = rng.integers(0, 1 << g, size=trials, dtype=np.uint64).astype(masks.dtype, copy=False)
+            draws = rng.integers(0, 1 << 2 * system.N, size=trials, dtype=np.uint64).astype(masks.dtype, copy=False)
         except MemoryError as exc:  # a count that cannot be allocated is refused like one below 1
             raise ValueError(f"{trials} trials do not fit in memory: {exc}") from exc
-    lo, hi, size = _count_extremes(masks, draws, system.N)
-
-    def first_members(flags: np.ndarray) -> tuple[tuple[int, ...], ...]:
-        return tuple(_members(int(i if draws is None else draws[i]), g) for i in np.flatnonzero(flags)[:32])
-
-    # flags overwrite the counts once read, so the one new count-long array is the closed-form max
-    expect = np.minimum(size, system.N)
-    np.not_equal(lo, np.subtract(size, expect, out=size), out=size)  # closed-form min: |S| - max
-    mismatches = first_members(np.bitwise_or(np.not_equal(hi, expect, out=expect), size, out=size))
-    at_zero, at_one = np.equal(lo, 0, out=lo), np.equal(hi, system.N, out=hi)
-    both_pinned = int(np.count_nonzero(np.bitwise_and(at_zero, at_one, out=size)))
+    tally = np.zeros(4, dtype=np.int64)  # subsets checked, with minimum 0, with maximum 1, with both
+    confined, off_form = [], []  # masks of the first 32 of each, in subset order
+    for block, lo, hi, size in _count_extremes(masks, draws, system.N):
+        at_zero, at_one = lo == 0, hi == system.N
+        expect = np.minimum(size, system.N)  # the closed-form max; the min is |S| - max
+        tally += [block.size, *map(np.count_nonzero, (at_zero, at_one, at_zero & at_one))]
+        confined += block[~(at_zero | at_one)][:32 - len(confined)].tolist()
+        off_form += block[(lo != size - expect) | (hi != expect)][:32 - len(off_form)].tolist()
+    checked, min_pinned, max_pinned, both_pinned = tally.tolist()
     return DichotomyReport(
         N=system.N,
         mode=mode,
-        subsets_checked=lo.size,
-        min_pinned=int(np.count_nonzero(at_zero)),
-        max_pinned=int(np.count_nonzero(at_one)),
+        subsets_checked=checked,
+        min_pinned=min_pinned,
+        max_pinned=max_pinned,
         both_pinned=both_pinned,
-        violations=first_members(np.equal(np.bitwise_or(at_zero, at_one, out=size), 0, out=size)),
-        closed_form_mismatches=mismatches,
+        violations=tuple(_members(s, system.ground_size) for s in confined),
+        closed_form_mismatches=tuple(_members(s, system.ground_size) for s in off_form),
     )
 
 
-def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) -> tuple[np.ndarray, ...]:
-    """Per subset: min and max over the points of |A intersect S|, and |S|, as uint8.
+def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per block of subsets: their masks, and fresh uint8 arrays of min and max |A intersect S| and of |S|.
 
     The subsets are ``draws``, masks of the lowest 2 * ``low_bits`` bits in
     ``masks.dtype``, or every such mask in order when ``draws`` is None, made
@@ -286,17 +284,16 @@ def _count_extremes(masks: np.ndarray, draws: np.ndarray | None, low_bits: int) 
     tables = extremes[:, :len(groups)], extremes[:, [sets[key] for key in highs]]
     rows = max(1, _BLOCK_BYTES // (2 * len(groups) + 16))  # per subset: two gathered columns, two intp indices
     pair = np.empty((2, len(groups), rows), dtype=np.uint8)
-    lo, hi, size = np.empty((3, count), dtype=np.uint8)
     for start in range(0, count, rows):
         end = min(start + rows, count)
         block = np.arange(start, end, dtype=masks.dtype) if draws is None else draws[start:end]
         n = block.size
         index = (block & low_mask, block >> low_bits) if at is None else [inverse[start:end] for inverse in at]
-        for e, (reduce, out) in enumerate(((np.minimum, lo), (np.maximum, hi))):
+        ends = []
+        for e, reduce in enumerate((np.minimum, np.maximum)):
             a, b = (np.take(table[e], i, axis=1, out=side[:, :n]) for side, table, i in zip(pair, tables, index))
-            reduce.reduce(np.add(a, b, out=a), axis=0, out=out[start:end])
-        np.bitwise_count(block, out=size[start:end])
-    return lo, hi, size
+            ends.append(reduce.reduce(np.add(a, b, out=a), axis=0))
+        yield block, *ends, np.bitwise_count(block)
 
 
 def _group_extremes(halves: np.ndarray, sets: list[np.ndarray]) -> np.ndarray:

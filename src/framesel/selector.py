@@ -44,7 +44,7 @@ from .errors import (
     SelectionError,
     ToleranceBreachError,
 )
-from .frames import _RESCALE_LIMIT, FrameFamily, _integer, _number, _read_json, _write_json, validate_frame
+from .frames import _RESCALE_LIMIT, FrameFamily, _array, _integer, _number, _read_json, _write_json, validate_frame
 from .hermitian import EigenSystem, eigh, outer_product_accumulate
 from .hermitian import resolvent_quadratic_form  # noqa: F401  a perfbench/spans.py patch target
 
@@ -715,7 +715,7 @@ def certificate_to_dict(cert: SelectionCertificate) -> dict:
 def certificate_from_dict(data: dict) -> SelectionCertificate:
     try:
         sched = data["schedule"]
-        values = np.asarray([_number(v) for v in sched["values"]], dtype=np.float64)
+        values = np.asarray([_number(v) for v in _array(sched["values"])], dtype=np.float64)
         schedule = BarrierSchedule(
             N=_integer(sched["N"]), m=_integer(sched["m"]), n=_integer(sched["n"]), values=values
         )
@@ -727,14 +727,14 @@ def certificate_from_dict(data: dict) -> SelectionCertificate:
                 potential=_number(s["phi"]),
                 lambda_max=_number(s["lambda_max"]),
             )
-            for s in data["steps"]
+            for s in _array(data["steps"])
         )
         final = data["final"]
         return SelectionCertificate(
             schedule=schedule,
             steps=steps,
-            indices=tuple(_integer(i) for i in final["indices"]),
-            eigenvalues=np.asarray([_number(x) for x in final["eigenvalues"]], dtype=np.float64),
+            indices=tuple(_integer(i) for i in _array(final["indices"])),
+            eigenvalues=np.asarray([_number(x) for x in _array(final["eigenvalues"])], dtype=np.float64),
             bound=_number(final["bound"]),
             norm_deviation=_number(data.get("norm_deviation", 0.0)),
         )

@@ -485,20 +485,23 @@ class TestVerify:
             "",
         )
 
-    @pytest.mark.parametrize("key, counts", [("steps", "|S| = 9, steps = 0"), ("indices", "|S| = 0, steps = 9")],
-                             ids=["steps", "final-indices"])
-    def test_an_empty_object_for_an_array_reads_as_no_entries(self, key, counts, frame_file, tmp_path, capsys):
-        # an empty JSON object iterates as no entries: the counts fail, and the report says so (exit 1, not 2)
+    @pytest.mark.parametrize(
+        "path", [("schedule", "values"), ("steps",), ("final", "indices"), ("final", "eigenvalues")],
+        ids=["values", "steps", "final-indices", "final-eigenvalues"],
+    )
+    @pytest.mark.parametrize("value", [{}, {"a": 1}, "", "x"], ids=["empty-object", "object", "empty-string", "string"])
+    def test_a_non_array_for_an_array_is_malformed(self, path, value, frame_file, tmp_path, capsys):
+        # an object iterates as its keys and a string as its characters, so {} and "" once read as no entries
         cert = tmp_path / "cert.json"
         assert run("select", "--frame", frame_file, "--n", 9, "--out", cert) == 0
         data = json.loads(cert.read_text())
-        (data["final"] if key == "indices" else data)[key] = {}
+        (data if len(path) == 1 else data[path[0]])[path[-1]] = value
         cert.write_text(json.dumps(data))
         capsys.readouterr()
-        assert run("verify", "--frame", frame_file, "--cert", cert) == 1
-        out, err = capsys.readouterr()
-        assert f"FAIL counts: {counts}, n = 9\n" in out
-        assert out.endswith("certificate REJECTED\n") and err == ""
+        assert run("verify", "--frame", frame_file, "--cert", cert) == 2
+        assert capsys.readouterr() == (
+            "", f"error: malformed certificate JSON: expected an array, got {type(value).__name__}\n"
+        )
 
     def test_huge_finite_crossing_is_rejected_with_a_report(self, tmp_path, capsys):
         # T_5 is finite, but its roundoff defect (1e182) is far above eigh's absolute Hermitian check

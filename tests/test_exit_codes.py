@@ -29,7 +29,7 @@ from framesel.selector import certificate_to_dict
 
 NEST = "@nest@"  # stands in for a nest 10^5 deep, spliced into the text after json writes the rest
 DROP = object()  # removes the node in place of replacing it
-VALUES = ({}, [], "x", True, None, -1, 2**70, 10**400, 1e308, NEST, DROP)
+VALUES = ({}, [], "", "x", True, None, -1, 2**70, 10**400, 1e308, NEST, DROP)
 DEEP = "[" * 100_000 + "]" * 100_000
 INTEGERS = [value for value in VALUES if type(value) is int]  # -1, 2**70 and 10**400
 

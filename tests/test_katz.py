@@ -344,6 +344,23 @@ class TestDichotomyAgainstSets:
         assert tally(report) == want
         assert report.violations and report.closed_form_mismatches
 
+    def test_first_32_flags_span_kernel_blocks(self):
+        # build_katz(6) with one point doubled per high part, so 64 low multisets make blocks of 1820 subsets,
+        # less 21 points S holding element 12 and their complements: those 42 subsets alone are confined and
+        # off the closed form, and the first 32 in subset order lie in more than one block of the kernel
+        N, full = 6, (1 << 12) - 1
+        gone = [sum(1 << e for e in c) | 1 << 11 for c in itertools.combinations(range(11), 5)][::23]
+        gone += [full ^ s for s in gone]
+        masks = [m for m in [*build_katz(N).masks.tolist(), *((h << N) | (63 ^ h) for h in range(64))] if m not in gone]
+        system = system_of(N, masks)
+        report = dichotomy_check(system, mode="exhaustive")
+        assert tally(report) == dichotomy_by_sets(N, [ground_set(m, 12) for m in masks],
+                                                  [ground_set(s, 12) for s in range(1 << 12)])
+        ends = np.cumsum([block.size for block, *_ in katz._count_extremes(katz._narrowed_masks(system), None, N)])
+        for flagged in (report.violations, report.closed_form_mismatches):
+            where = np.searchsorted(ends, [sum(1 << e - 1 for e in members) for members in flagged], side="right")
+            assert len(flagged) == 32 and where[0] < where[-1]
+
     def test_katz_masks_narrow_to_32_bits(self):
         assert katz._narrowed_masks(build_katz(10)).dtype == np.uint32
 
@@ -356,8 +373,9 @@ class TestSplitKernelAgainstAllPoints:
         masks = katz._narrowed_masks(system)
         draws = None if draws is None else draws.astype(masks.dtype)
         want = count_extremes_all_points(masks.copy(), draws, system.N)
-        got = katz._count_extremes(masks, draws, system.N)
-        for a, b in zip(got, want):
+        subsets, *got = map(np.concatenate, zip(*katz._count_extremes(masks, draws, system.N)))
+        assert np.array_equal(subsets, np.arange(1 << 2 * system.N) if draws is None else draws)
+        for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype == np.uint8
             assert np.array_equal(a, b)
 
@@ -521,11 +539,17 @@ class TestMemory:
         system = build_katz(10)
         assert traced_peak(lambda: dichotomy_check(system, mode="sampled", trials=64)) <= 2.48 * 2**20
 
-    def test_exhaustive_n10_flags_overwrite_the_counts(self):
-        # the kernel's three 2^20-long count arrays (3 MiB), the narrowed masks (0.7 MiB) and one count-long
-        # temporary make 4.7 MiB; a flag array per name beside the counts would make 9.7 MiB
+    def test_exhaustive_n10_holds_no_subset_long_array(self):
+        # the narrowed masks (0.7 MiB), the tables and one block's counts and flags peak at 1.6 MiB;
+        # (lo, hi, |S|) for all 2^20 subsets at once would add 3 MiB
         system = build_katz(10)
-        assert traced_peak(lambda: dichotomy_check(system, mode="exhaustive")) <= 5 * 2**20
+        assert traced_peak(lambda: dichotomy_check(system, mode="exhaustive")) <= 2 * 2**20
+
+    def test_a_failing_exhaustive_check_keeps_32_flags(self):
+        # two disjoint points leave 9/16 of the 2^20 subsets confined and nearly all off the closed form, where an
+        # int64 index of every flagged subset took 8 MiB; the masks of 32 of each are all the report keeps
+        system = system_of(10, [0b0011, 0b1100])
+        assert traced_peak(lambda: dichotomy_check(system, mode="exhaustive")) <= 2**20
 
     def test_exhaustive_does_not_hold_every_subset(self):
         # all 2^16 subsets at once, with their AND and popcount rows, take about 3.7 MB
