@@ -124,25 +124,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("sweep over one frame needs both --n-min and --n-max")
         if args.ratio is not None:
             raise ValueError("--ratio applies only with --N-list; an n-range sets n directly")
+        if args.n_min > args.n_max:
+            raise ValueError(f"--n-min must not exceed --n-max, got {args.n_min} > {args.n_max}")
     elif args.ratio is not None and not 0.0 < args.ratio < 1.0:
         raise ValueError(f"--ratio must lie strictly between 0 and 1, got {args.ratio}")
+    # every row is built before the output opens, so a run that fails writes nothing
+    lines = [",".join(CSV_COLUMNS)]
+    for frame, cert in _sweep_rows(args):
+        comp_min, _ = complement_lower_bound(frame, cert)
+        root = frame.N ** 0.5
+        row = (
+            str(frame.k),
+            str(frame.N),
+            str(frame.m),
+            str(cert.n),
+            _fmt(cert.lambda_max),
+            _fmt(cert.bound),
+            _fmt(cert.excess),
+            _fmt(cert.excess * root),
+            _fmt(comp_min),
+        )
+        lines.append(",".join(row))
     with open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for frame, cert in _sweep_rows(args):
-            comp_min, _ = complement_lower_bound(frame, cert)
-            root = frame.N ** 0.5
-            row = (
-                str(frame.k),
-                str(frame.N),
-                str(frame.m),
-                str(cert.n),
-                _fmt(cert.lambda_max),
-                _fmt(cert.bound),
-                _fmt(cert.excess),
-                _fmt(cert.excess * root),
-                _fmt(comp_min),
-            )
-            out.write(",".join(row) + "\n")
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -73,10 +73,6 @@ class DiagonalSelector:
         idx = _checked_indices(self.indices, self.m)
         object.__setattr__(self, "indices", tuple(int(i) for i in idx))
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class FrameValidationReport:
@@ -215,7 +211,7 @@ def projection_to_frame(P: np.ndarray, N: int) -> FrameFamily:
     if N < 2:
         raise FrameError(f"norm parameter N must be at least 2, got {N}")
     eig = eigh(P)
-    m = eig.dim
+    m = eig.eigenvalues.shape[0]
     # for Hermitian P = E diag(lam) E*, ||P^2 - P||_F = ||lam^2 - lam|| and ||P||_F = ||lam||
     lam = eig.eigenvalues
     idem_dev = float(np.linalg.norm(lam * lam - lam))

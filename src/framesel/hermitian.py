@@ -54,20 +54,12 @@ class EigenSystem:
     eigenvectors: np.ndarray  # (k, k) complex128, column d pairs with eigenvalue d
 
     @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
-    @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
     @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
-
-    def reconstruct(self) -> np.ndarray:
-        U = self.eigenvectors
-        return (U * self.eigenvalues) @ U.conj().T
 
 
 def eigh(T: np.ndarray) -> EigenSystem:
@@ -91,8 +83,8 @@ def resolvent_quadratic_form(eig: EigenSystem, a: float, v: np.ndarray, power: i
     if a <= eig.lambda_max:
         raise BarrierError(f"barrier violated: a = {a} <= lambda_max = {eig.lambda_max}")
     v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (eig.dim,):
-        raise ValueError(f"vector length {v.shape} does not match dimension {eig.dim}")
+    if v.shape != eig.eigenvalues.shape:
+        raise ValueError(f"vector length {v.shape} does not match dimension {eig.eigenvalues.shape[0]}")
     w2 = np.abs(eig.eigenvectors.conj().T @ v) ** 2
     return float(np.sum(w2 / (a - eig.eigenvalues) ** power))
 

@@ -68,10 +68,6 @@ class KatzSystem:
         np.bitwise_and(masks, s_mask, out=masks)
         return np.bitwise_count(masks).astype(np.int64)
 
-    def function_sum_values(self, indices) -> list[Fraction]:
-        """g_S over all points, in point order, as exact fractions."""
-        return [Fraction(int(c), self.N) for c in self.intersection_counts(indices)]
-
 
 def _narrowed_masks(system: KatzSystem) -> np.ndarray:
     """A private, writable copy of the masks in the narrowest word that holds 2N bits.

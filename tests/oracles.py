@@ -101,6 +101,12 @@ def feasibility_by_inverse(T: np.ndarray, v: np.ndarray, a: float, a_next: float
     return q2 / gap + q1
 
 
+def reconstruct(eig: EigenSystem) -> np.ndarray:
+    """U diag(lambda) U*, the operator an eigensystem describes."""
+    U = eig.eigenvectors
+    return (U * eig.eigenvalues) @ U.conj().T
+
+
 def _sorted_system(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> EigenSystem:
     order = np.argsort(eigenvalues, kind="stable")
     return EigenSystem(

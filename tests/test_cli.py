@@ -205,11 +205,6 @@ class TestSweep:
         assert float(text) == float(repr(float(text)))  # lossless double text form
         assert np.float64(text).hex() == np.float64(float(text)).hex()
 
-    def test_empty_range_header_only(self, capsys):
-        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 0) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 1
-
     def test_n_list_mode(self, capsys):
         assert run("sweep", "--k", 2, "--N-list", "4,9", "--ratio", "0.5") == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -230,21 +225,26 @@ class TestSweep:
         assert run("sweep", "--k", 8, "--N", 25, "--n-min", 1, "--n-max", 199, "--out", out) == 0
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
-    def test_n_max_beyond_m_writes_valid_rows_then_fails(self, tmp_path, capsys):
-        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 8) == 2
-        captured = capsys.readouterr()
-        lines = captured.out.strip().splitlines()
-        assert [line.split(",")[3] for line in lines[1:]] == [str(n) for n in range(1, 8)]
-        assert captured.err == "error: n must satisfy 1 <= n < m = 8, got 8\n"
-        # to a file: the same header and rows, and the file is closed when the run fails
-        out = tmp_path / "s.csv"
-        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 8, "--out", out) == 2
-        assert capsys.readouterr() == ("", captured.err)
-        assert out.read_bytes() == captured.out.encode()
+    # a run that fails part way: every row is built before the output opens, so nothing is written
+    @pytest.mark.parametrize("argv, text", [
+        (("--k", 8, "--N", 25, "--n-min", 1, "--n-max", 200), "n must satisfy 1 <= n < m = 200, got 200"),
+        (("--k", 2, "--N", 4, "--n-min", 0, "--n-max", 3), "n must satisfy 1 <= n < m = 8, got 0"),
+        (("--k", 8, "--N-list", "4,1,9"), "norm parameter N must be at least 2, got 1"),
+    ], ids=["n-max-at-m", "n-min-zero", "N-list-with-N-one"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_failing_run_writes_nothing(self, argv, text, to_file, tmp_path, capsys):
+        out = ("--out", tmp_path / "part.csv") if to_file else ()
+        assert run("sweep", *argv, *out) == 2
+        assert capsys.readouterr() == ("", f"error: {text}\n")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_n_min_zero_writes_header_then_fails(self, capsys):
-        assert run("sweep", "--k", 2, "--N", 4, "--n-min", 0, "--n-max", 3) == 2
-        assert capsys.readouterr().out.strip().splitlines() == [",".join(CSV_COLUMNS)]
+    def test_frame_at_the_size_cap_runs(self, capsys):
+        # the sweep fuzz in test_exit_codes.py draws N = 10**5 at k = 2 only, past the cap; at k = 1 it runs
+        assert run("sweep", "--k", 1, "--N", 10**5, "--n-min", 1, "--n-max", 2) == 0
+        assert [line.split(",")[:4] for line in capsys.readouterr().out.splitlines()[1:]] == [
+            ["1", "100000", "100000", "1"], ["1", "100000", "100000", "2"]]
+        assert run("sweep", "--k", 2, "--N-list", 10**5) == 2
+        assert capsys.readouterr() == ("", "error: m = k*N = 200000 exceeds the cap 100000\n")
 
     def test_requires_consistent_flags(self):
         assert run("sweep", "--k", 2) == 2
@@ -297,6 +297,7 @@ class TestRefusals:
         (("sweep", "--k", 2, "--N", 4, "--n-min", 1, "--n-max", 2, "--ratio", 0.9),
          "--ratio applies only with --N-list; an n-range sets n directly"),
         (("sweep", "--k", 4, "--N-list", 25, "--ratio", 1.5), "--ratio must lie strictly between 0 and 1, got 1.5"),
+        (("sweep", "--k", 8, "--N", 25, "--n-min", 5, "--n-max", 3), "--n-min must not exceed --n-max, got 5 > 3"),
         (("katz", "--N", 3, "--trials", 5), "--trials and --seed apply only with --sampled"),
         (("katz", "--N", 11),
          "C(22, 11) = 705432 points exceeds the build cap 200000; use closed_form_range for large N"),
@@ -308,7 +309,7 @@ class TestRefusals:
          "--seed must be a non-negative integer, got -1"),
         (("katz", "--N", 3, "--sampled", "--seed", -1), "--seed must be a non-negative integer, got -1"),
     ], ids=["gen-seed", "sweep-no-frame", "sweep-list-and-N", "sweep-half-range", "sweep-range-ratio",
-            "sweep-ratio-range", "katz-trials", "katz-out-of-reach", "katz-sampled-out-of-reach",
+            "sweep-ratio-range", "sweep-empty-range", "katz-trials", "katz-out-of-reach", "katz-sampled-out-of-reach",
             "katz-far-out-of-reach", "gen-negative-seed", "katz-negative-seed"])
     def test_refusal_exits_2_with_one_error_line(self, argv, text, tmp_path, capsys):
         assert run(*argv, "--out", tmp_path / "out") == 2

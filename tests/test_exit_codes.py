@@ -6,7 +6,8 @@ independently, the certificate, or makes one edit to the field both files hold (
 agree with each other. Then it runs ``select`` on the frame and ``verify`` on both files, in process. An edit
 replaces one node with a value that a loader must refuse or a check must catch, drops the node, cuts the text at a
 byte, or puts a byte order mark in front of it. Each ``katz`` example draws --N, --trials and --seed from small,
-edge and huge integers, with or without --sampled.
+edge and huge integers, with or without --sampled. Each ``sweep`` example draws --k, an n-range, an N-list and a
+ratio the same way, each flag but --k left out or given, with or without --out.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import framesel
 from framesel import harmonic_frame, select_subset
-from framesel.cli import main
+from framesel.cli import CSV_COLUMNS, main
 from framesel.frames import frame_to_dict
 from framesel.selector import certificate_to_dict
 
@@ -191,5 +192,68 @@ def test_katz_flags_keep_the_exit_code_contract(tmp_path):
             assert json.loads(out.read_text())["passed"] is True
 
     check()
+    print(seen)
     assert sum(seen.values()) == 300
     assert seen[0] and seen[2], seen  # both outcomes these flags can reach were reached
+
+
+SWEEP_NS = (-1, 0, 1, 2, 3, 10**5)  # --N and each --N-list entry
+SWEEP_RANGE = (-1, 0, 1, 2, 5, 2**62)  # --n-min and --n-max
+SWEEP_RATIOS = (-0.5, 0, 0.3, 1)
+
+
+@st.composite
+def sweep_argvs(draw):
+    """(k, N, n_min, n_max, N_list, ratio, to_file), None for a flag left out.
+
+    Each example draws a mode, then gives each flag of that mode (--N, --n-min and --n-max, or --N-list and
+    --ratio) in 3 of 4 draws and each flag of the other mode in 1 of 4, so that more examples pass the flag
+    checks and reach a selection. At k = 1, N = 10**5 builds a frame at the size cap (m = 10**5), whose runs
+    select up to 10**5 vectors at several ms a step: valid work, but too slow for a fuzz. So 10**5 is drawn at
+    k = 2 only, where m is past the cap and the frame is refused before it is built.
+    """
+    k = draw(st.sampled_from([1, 2]))
+    Ns = SWEEP_NS if k == 2 else SWEEP_NS[:-1]
+    by_list = draw(st.booleans())
+
+    def flag(values, own):
+        return draw(values) if draw(st.sampled_from([own, own, own, not own])) else None
+
+    return (k, flag(st.sampled_from(Ns), not by_list), flag(st.sampled_from(SWEEP_RANGE), not by_list),
+            flag(st.sampled_from(SWEEP_RANGE), not by_list),
+            flag(st.lists(st.sampled_from(Ns), min_size=1, max_size=3), by_list),
+            flag(st.sampled_from(SWEEP_RATIOS), by_list), draw(st.sampled_from([False, True])))
+
+
+def test_sweep_flags_keep_the_exit_code_contract(tmp_path):
+    out = tmp_path / "sweep.csv"
+    seen = Counter()
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(case=sweep_argvs())
+    def check(case):
+        k, N, n_min, n_max, N_list, ratio, to_file = case
+        # flag=value, so that argparse takes a list such as -1,2 as the value and not as a flag
+        flags = {"--k": k, "--N": N, "--n-min": n_min, "--n-max": n_max, "--ratio": ratio,
+                 "--N-list": N_list and ",".join(map(str, N_list)), "--out": out if to_file else None}
+        argv = [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+        out.unlink(missing_ok=True)
+        code, stdout, stderr = run("sweep", *argv)
+        seen[code, to_file] += 1
+        assert code in (0, 1, 2, 3)
+        if code != 0:  # any exit but 0 prints nothing on stdout and writes no CSV
+            assert stdout == "" and not out.exists()
+        if code in (2, 3):  # and one line on stderr
+            assert stderr.count("\n") == 1 and stderr.endswith("\n")
+            assert stderr.startswith("error: " if code == 2 else "i/o error: ")
+        if code == 0:  # a header and one row per n of the range, or per entry of the N-list; never no rows
+            csv = out.read_text(encoding="utf-8") if to_file else stdout
+            assert stderr == "" and (stdout == "") == to_file
+            header, *rows = csv.splitlines()
+            assert header == ",".join(CSV_COLUMNS)
+            assert len(rows) == (len(N_list) if N_list is not None else n_max - n_min + 1) > 0
+
+    check()
+    assert sum(seen.values()) == 600
+    # both outcomes these flags can reach were reached, to stdout and to a file
+    assert all(seen[code, to_file] for code in (0, 2) for to_file in (False, True)), seen

@@ -22,3 +22,18 @@ def test_folded_helpers_are_gone():
     # the Hermitian defect is measured inside require_hermitian, which reports it in its ValueError
     assert "hermitian_defect" not in framesel.__all__
     assert not hasattr(framesel, "hermitian_defect") and not hasattr(framesel.hermitian, "hermitian_defect")
+
+
+def test_tracer_patched_helpers_live_only_in_their_modules():
+    # the benchmark tracer patches them in framesel.selector, which imports them from framesel.hermitian
+    for name in ("outer_product_accumulate", "resolvent_quadratic_form"):
+        assert name not in framesel.__all__ and not hasattr(framesel, name)
+        assert callable(getattr(framesel.hermitian, name))
+        assert getattr(framesel.selector, name) is getattr(framesel.hermitian, name)
+
+
+def test_members_only_tests_read_are_gone():
+    # tests read len(...) of the arrays instead, and tests/oracles.py reconstructs an eigensystem
+    assert not hasattr(framesel.EigenSystem, "dim") and not hasattr(framesel.EigenSystem, "reconstruct")
+    assert not hasattr(framesel.DiagonalSelector, "size")
+    assert not hasattr(framesel.KatzSystem, "function_sum_values")

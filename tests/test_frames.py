@@ -65,6 +65,8 @@ class TestConstruction:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(FrameError):
             harmonic_frame(0, 4)
+        with pytest.raises(FrameError, match=r"^dimension k must be positive, got 0$"):
+            FrameFamily(k=0, N=2, vectors=np.zeros((0, 0)))
 
     def test_rejects_oversized_frame(self):
         with pytest.raises(FrameError):
@@ -293,6 +295,8 @@ class TestCompressedGram:
     def test_size_mismatch_rejected(self):
         with pytest.raises(FrameError):
             compressed_gram(np.eye(3), DiagonalSelector(m=4, indices=(1,)))
+        with pytest.raises(FrameError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            compressed_gram(np.zeros((2, 3)), DiagonalSelector(m=2, indices=(1,)))
 
 
 class TestJsonFormats:

@@ -11,12 +11,15 @@ from framesel import (
     EigenSystem,
     chebyshev_sum_bound,
     eigh,
-    outer_product_accumulate,
-    resolvent_quadratic_form,
     resolvent_rank_one_downdate,
     sherman_morrison_resolvent_update,
 )
-from framesel.hermitian import _HERMITIAN_ATOL, require_hermitian
+from framesel.hermitian import (
+    _HERMITIAN_ATOL,
+    outer_product_accumulate,
+    require_hermitian,
+    resolvent_quadratic_form,
+)
 
 import oracles
 from oracles import (
@@ -29,6 +32,7 @@ from oracles import (
     random_hermitian,
     random_psd,
     random_unit,
+    reconstruct,
 )
 
 
@@ -78,6 +82,8 @@ class TestHermitianBasics:
     def test_accumulate_rejects_mismatched_vector(self):
         with pytest.raises(ValueError):
             outer_product_accumulate(np.zeros((3, 3)), np.zeros(4))
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            outer_product_accumulate(np.zeros((2, 3)), np.zeros(2))
 
     def test_eigh_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -119,7 +125,7 @@ class TestEigensolvers:
         for k in (1, 2, 5, 9):
             T = random_hermitian(rng, k)
             eig = solve(T)
-            assert np.linalg.norm(eig.reconstruct() - T) < 1e-11 * max(1.0, np.linalg.norm(T))
+            assert np.linalg.norm(reconstruct(eig) - T) < 1e-11 * max(1.0, np.linalg.norm(T))
             U = eig.eigenvectors
             assert np.linalg.norm(U.conj().T @ U - np.eye(k)) < 1e-12 * k
 
@@ -172,7 +178,7 @@ class TestEigensolvers:
             eigenvalues=np.array([-2.0, 0.5]),
             eigenvectors=np.eye(2, dtype=np.complex128),
         )
-        assert eig.dim == 2
+        assert len(eig.eigenvalues) == 2
         assert eig.lambda_min == -2.0
         assert eig.lambda_max == 0.5
 
@@ -200,7 +206,7 @@ class TestResolventForms:
         eig = eigh(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             resolvent_quadratic_form(eig, 1.0, np.zeros(2), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vector length \(3,\) does not match dimension 2$"):
             resolvent_quadratic_form(eig, 1.0, np.zeros(3), 1)
 
     def test_sherman_morrison_update_matches_dense(self):
@@ -241,6 +247,11 @@ class TestResolventForms:
         with pytest.raises(ValueError):
             resolvent_rank_one_downdate(Rinv, v)
 
+    def test_rank_one_updates_reject_a_length_mismatch(self):
+        for update in (sherman_morrison_resolvent_update, resolvent_rank_one_downdate):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: \(3, 3\) versus vector length \(4,\)$"):
+                update(np.eye(3), np.zeros(4))
+
     def test_composed_resolvent_matches_dense(self):
         rng = np.random.default_rng(24)
         k, count = 4, 6
@@ -279,3 +290,5 @@ class TestOrderedSumBound:
             chebyshev_sum_bound(np.array([1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             chebyshev_sum_bound(np.array([]), np.array([]))
+        with pytest.raises(ValueError, match=r"^sequences must be one-dimensional$"):
+            chebyshev_sum_bound(np.ones((2, 2)), np.ones((2, 2)))

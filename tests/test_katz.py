@@ -129,7 +129,7 @@ class TestConstruction:
 
     def test_functions_sum_to_one_everywhere(self):
         system = build_katz(3)
-        values = system.function_sum_values(range(1, 7))
+        values = [Fraction(int(c), system.N) for c in system.intersection_counts(range(1, 7))]
         assert all(v == Fraction(1) for v in values)
 
     def test_n1_system(self):

@@ -46,7 +46,7 @@ from framesel.hermitian import (
     resolvent_quadratic_form,
 )
 
-from oracles import jacobi_eigh, replay_per_step
+from oracles import jacobi_eigh, reconstruct, replay_per_step
 
 # criterion 11's frames and sizes
 N_LIST = [(harmonic_frame(4, N), 2 * N) for N in (25, 100, 400)]
@@ -253,7 +253,8 @@ def factor_running_sum(solver, calls):
     def update(eig, v):
         nonlocal T
         if T is None:
-            T = np.zeros((eig.dim, eig.dim), dtype=np.complex128)
+            k = len(eig.eigenvalues)
+            T = np.zeros((k, k), dtype=np.complex128)
         T = outer_product_accumulate(T, v)
         calls.append(1)
         return solver(T)
@@ -295,8 +296,8 @@ class TestScansAgree:
             state, _ = selection_step(state, sched)
 
     @pytest.mark.parametrize("seed", [1, 3])
-    def test_scans_agree_on_the_closest_decisions(self, seed):
-        # modulated (8, 400) seeds 1 and 3 hold the closest decisions measured; seed 1's step 1454 has band_gap 9.1e-12
+    def test_scans_agree_on_the_smallest_band_gap(self, seed):
+        # modulated (8, 400) seeds 1 and 3 hold the smallest band_gap measured, 9.1e-12 at seed 1's step 1454
         F = modulated_harmonic_frame(8, 400, seed=seed)
         sched = barrier_schedule(F.N, F.m, 1600)
         runs = []
@@ -425,7 +426,7 @@ class TestRankOneUpdate:
             E = state.eig.eigenvectors
             assert np.abs(state.eig.eigenvalues - eigh(T).eigenvalues).max() <= 1e-12
             assert np.linalg.norm(E.conj().T @ E - eye, 2) <= 1e-12
-            assert np.linalg.norm(state.eig.reconstruct() - T, 2) <= 1e-12
+            assert np.linalg.norm(reconstruct(state.eig) - T, 2) <= 1e-12
 
     def test_loop_builds_no_running_sum(self, monkeypatch):
         # the loop carries T_j's eigensystem only; the verify replay builds T_j in chunks of its own
@@ -474,7 +475,7 @@ class TestRankOneUpdate:
         E = updated.eigenvectors
         np.testing.assert_allclose(updated.eigenvalues, np.linalg.eigvalsh(T_next), rtol=0.0, atol=atol)
         np.testing.assert_allclose(E.conj().T @ E, np.eye(k), rtol=0.0, atol=atol)
-        np.testing.assert_allclose(updated.reconstruct(), T_next, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(reconstruct(updated), T_next, rtol=0.0, atol=atol)
 
     def test_a_step_without_deflation_takes_no_eigh(self, monkeypatch):
         # the control for the cases above: distinct d and no zero component
@@ -488,7 +489,7 @@ class TestRankOneUpdate:
         E = updated.eigenvectors
         np.testing.assert_allclose(updated.eigenvalues, np.linalg.eigvalsh(T_next), rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(E.conj().T @ E, np.eye(LOWNER_K), rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(updated.reconstruct(), T_next, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(reconstruct(updated), T_next, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize(
         "F", [modulated_harmonic_frame(32, 50, seed=7), modulated_harmonic_frame(64, 25, seed=1)],
@@ -543,7 +544,7 @@ class TestRankOneUpdate:
             if j % 50 == 0 or j == n:
                 E = state.eig.eigenvectors
                 assert np.linalg.norm(E.conj().T @ E - eye, 2) <= 1e-12, f"step {j}"
-                assert np.linalg.norm(state.eig.reconstruct() - T, 2) <= 2e-12, f"step {j}"
+                assert np.linalg.norm(reconstruct(state.eig) - T, 2) <= 2e-12, f"step {j}"
 
     @pytest.mark.parametrize(
         "name, F",

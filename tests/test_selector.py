@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from framesel import (
     BarrierError,
     CertificateMismatchError,
+    EigenSystem,
     FrameError,
     FrameFamily,
     SelectionError,
@@ -28,7 +30,6 @@ from framesel import (
     initial_selection_state,
     load_certificate,
     modulated_harmonic_frame,
-    outer_product_accumulate,
     save_certificate,
     select_prefixes,
     select_subset,
@@ -37,6 +38,7 @@ from framesel import (
     verify_certificate,
 )
 from framesel import selector
+from framesel.hermitian import outer_product_accumulate
 
 from oracles import feasibility_by_inverse, potential_by_inverse, random_psd, random_unit
 
@@ -302,6 +304,43 @@ class TestSelection:
         state, _ = selection_step(state, sched)
         with pytest.raises(ValueError):
             selection_step(state, sched)
+        # a schedule longer than the frame: harmonic (1, 2) has two vectors for three steps
+        F = harmonic_frame(1, 2)
+        sched = barrier_schedule(2, 4, 3)
+        state = initial_selection_state(F)
+        for _ in range(2):
+            state, _ = selection_step(state, sched)
+        with pytest.raises(ValueError, match=r"^no vectors remain$"):
+            selection_step(state, sched)
+
+    def test_one_vector_frame_takes_the_dense_scan(self, monkeypatch):
+        # a DFT row subset needs two rows to fix its offsets
+        F = FrameFamily(k=1, N=2, vectors=np.full((1, 1), 0.5**0.5))
+        scans, dense = [], selector._feasibility
+        monkeypatch.setattr(selector, "_feasibility", lambda *args: scans.append(1) or dense(*args))
+        state = initial_selection_state(F)
+        assert state.dft_bins is None
+        state, record = selection_step(state, barrier_schedule(2, 2, 1))
+        assert scans == [1] and record.index == 1 and state.eig.lambda_max == pytest.approx(0.5, abs=1e-15)
+
+    def test_state_above_the_barrier_is_refused(self):
+        F = harmonic_frame(2, 4)
+        state, _ = selection_step(initial_selection_state(F), barrier_schedule(F.N, F.m, 1))
+        schedule = barrier_schedule(10**6, 10**7, 5)
+        text = f"state invalid at step 1: lambda_max = {state.eig.lambda_max} >= a_j = {schedule.values[1]}"
+        with pytest.raises(ToleranceBreachError, match=f"^{re.escape(text)}$"):
+            selection_step(state, schedule)
+
+    def test_breach_after_the_update_is_refused(self, monkeypatch):
+        # an update whose spectrum lands above a_1: the step checks the norm of T + v (x) v before it records it
+        F = harmonic_frame(2, 4)
+        schedule = barrier_schedule(F.N, F.m, 1)
+        a_next = float(schedule.values[1])
+        high = EigenSystem(eigenvalues=np.array([0.0, 2 * a_next]), eigenvectors=np.eye(2, dtype=np.complex128))
+        monkeypatch.setattr(selector, "_rank_one_update", lambda eig, v: high)
+        text = f"step 1: norm bound breached: lambda_max = {2 * a_next} >= a_next = {a_next} (margin {-a_next:.3e})"
+        with pytest.raises(ToleranceBreachError, match=f"^{re.escape(text)}$"):
+            selection_step(initial_selection_state(F), schedule)
 
     @pytest.mark.parametrize(
         "F", [harmonic_frame(4, 9), modulated_harmonic_frame(6, 16, seed=3)], ids=["harmonic", "modulated"]

@@ -33,3 +33,11 @@ TARGETS = sorted(target for targets in _patches().values() for target in targets
 def test_patch_target_is_callable(target):
     module_name, attr = target.split(":")
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_patch_target_is_the_defining_modules_function(target):
+    # a stub left behind in place of a removed function would still be callable
+    module_name, attr = target.split(":")
+    fn = getattr(importlib.import_module(module_name), attr)
+    assert fn is getattr(sys.modules[fn.__module__], fn.__name__)
