@@ -108,8 +108,12 @@ def _sweep_rows(args: argparse.Namespace):
             frame = harmonic_frame(args.k, N)
             yield frame, select_subset(frame, round(ratio * frame.m))
     else:
-        # one greedy run serves the whole n-range: each n is a prefix of it
+        # one greedy run serves the whole n-range: each n is a prefix of it. That run refuses
+        # an n outside 1..m-1 only on reaching it, so the range's first such n is refused first.
         frame = harmonic_frame(args.k, args.N)
+        first_bad = args.n_min if args.n_min < 1 else max(args.n_min, frame.m)
+        if first_bad <= args.n_max:
+            raise ValueError(f"n must satisfy 1 <= n < m = {frame.m}, got {first_bad}")
         for cert in select_prefixes(frame, range(args.n_min, args.n_max + 1)):
             yield frame, cert
 
@@ -235,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", dest="n_min", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--N-list", dest="N_list", type=_int_list, default=None,
-                   help="comma-separated N values, each run at --ratio")
+                   help="comma-separated N values, each run at --ratio (a list that starts with - is "
+                   "written --N-list=-1,2)")
     p.add_argument("--ratio", type=float, default=None, help="n/m for --N-list runs (default 0.5)")
     p.add_argument("--out", default=None, help="CSV path (default: standard output)")
     p.set_defaults(func=cmd_sweep)

@@ -119,12 +119,12 @@ def _check_parameters(k: int, N: int) -> int:
     return m
 
 
-def _dft_rows(m: int, rows: np.ndarray) -> np.ndarray:
-    """The DFT rows ``rows`` as m frame vectors: entry (i, d) is omega^(i rows[d]) / sqrt(m)."""
-    i = np.arange(m, dtype=np.int64)[:, None]
-    vectors = np.exp(2j * np.pi * ((i * rows[None, :]) % m) / m)
-    vectors /= math.sqrt(m)  # in place: FrameFamily copies what it is given, so temporaries cost twice
-    return vectors
+def _dft_rows(m: int, rows: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Entry (i, d) is omega^((i rows[d]) mod m) / scale, gathered from a table of the m values it can take."""
+    powers = np.exp(2j * np.pi * np.arange(m) / m) / scale
+    exponents = np.arange(m, dtype=np.int64)[:, None] * rows
+    exponents %= m
+    return powers[exponents]
 
 
 def harmonic_frame(k: int, N: int) -> FrameFamily:
@@ -135,7 +135,7 @@ def harmonic_frame(k: int, N: int) -> FrameFamily:
     exactly Parseval up to roundoff, with every squared norm k/m = 1/N.
     """
     m = _check_parameters(k, N)
-    return FrameFamily(k=k, N=N, vectors=_dft_rows(m, np.arange(k, dtype=np.int64)))
+    return FrameFamily(k=k, N=N, vectors=_dft_rows(m, np.arange(k, dtype=np.int64), math.sqrt(m)))
 
 
 def modulated_harmonic_frame(k: int, N: int, seed: int) -> FrameFamily:
@@ -150,8 +150,8 @@ def modulated_harmonic_frame(k: int, N: int, seed: int) -> FrameFamily:
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(m, size=k, replace=False))
     phases = np.exp(2j * np.pi * rng.random(m))
-    vectors = _dft_rows(m, rows)
-    vectors *= phases[:, None]  # in place, as in _dft_rows
+    vectors = _dft_rows(m, rows, math.sqrt(m))
+    vectors *= phases[:, None]  # in place: FrameFamily copies what it is given, so temporaries cost twice
     return FrameFamily(k=k, N=N, vectors=vectors)
 
 

@@ -44,7 +44,8 @@ from .errors import (
     SelectionError,
     ToleranceBreachError,
 )
-from .frames import _RESCALE_LIMIT, FrameFamily, _array, _integer, _number, _read_json, _write_json, validate_frame
+from .frames import _RESCALE_LIMIT, FrameFamily, _array, _dft_rows, _integer, _number, _read_json, _write_json
+from .frames import validate_frame
 from .hermitian import EigenSystem, eigh, outer_product_accumulate
 from .hermitian import resolvent_quadratic_form  # noqa: F401  a perfbench/spans.py patch target
 
@@ -309,8 +310,7 @@ def _dft_row_offsets(vectors: np.ndarray) -> np.ndarray | None:
     if np.abs(np.abs(vectors[:, 0]) * root - 1.0).max() > _DFT_RESIDUAL_LIMIT:
         return None
     offsets = np.rint(np.angle(vectors[1] * vectors[1, 0].conj()) * (m / (2.0 * np.pi))).astype(np.int64) % m
-    powers = np.exp(2j * np.pi * np.arange(m) / m)
-    predicted = vectors[:, :1] * powers[(np.arange(m, dtype=np.int64)[:, None] * offsets) % m]
+    predicted = vectors[:, :1] * _dft_rows(m, offsets)
     if np.abs(vectors - predicted).max() * root > _DFT_RESIDUAL_LIMIT:
         return None
     return offsets

@@ -7,13 +7,15 @@ Jacobi rotations, determinants from cofactor expansion, subset optima from
 exhaustive enumeration, set-system ranges from Python sets instead of
 bitmasks, set-system extremes by popcounting every point instead of split
 masks, resolvents by chained rank-one downdates, and the certificate replay
-one step at a time instead of in stacked chunks. Slow and simple on purpose;
+one step at a time instead of in stacked chunks, and DFT frame entries by one
+exponential each instead of a table of the m roots. Slow and simple on purpose;
 tests compare the fast paths against these.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -99,6 +101,23 @@ def feasibility_by_inverse(T: np.ndarray, v: np.ndarray, a: float, a_next: float
     q2 = float(np.real(np.vdot(v, R2 @ v)))
     gap = potential_by_inverse(T, a) - potential_by_inverse(T, a_next)
     return q2 / gap + q1
+
+
+def dft_frame_vectors(k: int, N: int, seed: int | None = None) -> np.ndarray:
+    """harmonic_frame(k, N).vectors, or modulated_harmonic_frame(k, N, seed).vectors, one exponential per entry.
+
+    Entry (i, d) is exp(2 pi i ((i r_d) mod m) / m) / sqrt(m), times phi_i for a seed, with the
+    rows r and phases phi drawn from ``default_rng(seed)`` in the constructor's order.
+    """
+    m = k * N
+    rng = None if seed is None else np.random.default_rng(seed)
+    rows = np.arange(k, dtype=np.int64) if rng is None else np.sort(rng.choice(m, size=k, replace=False))
+    i = np.arange(m, dtype=np.int64)[:, None]
+    vectors = np.exp(2j * np.pi * ((i * rows[None, :]) % m) / m)
+    vectors /= math.sqrt(m)
+    if rng is not None:
+        vectors *= np.exp(2j * np.pi * rng.random(m))[:, None]
+    return vectors
 
 
 def reconstruct(eig: EigenSystem) -> np.ndarray:

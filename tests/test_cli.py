@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -52,6 +53,17 @@ class TestGen:
         run("gen", "--k", 2, "--N", 3, "--kind", "modulated", "--seed", 1, "--out", a)
         run("gen", "--k", 2, "--N", 3, "--kind", "modulated", "--seed", 2, "--out", b)
         assert a.read_bytes() != b.read_bytes()
+
+    # a change to the constructors must leave every frame file's bytes as they are
+    @pytest.mark.parametrize("argv, digest", [
+        (("--k", 8, "--N", 25), "3326b28043ff687c00007feaa84e111e7bc1a76b28283663fe40f15413005b79"),
+        (("--kind", "modulated", "--k", 32, "--N", 50, "--seed", 1),
+         "db2db431498437c4d5044395f074a154a71d36ccaaebe3067b76026bd4704fa6"),
+    ], ids=["harmonic-8-25", "modulated-32-50-seed-1"])
+    def test_frame_file_bytes_are_pinned(self, argv, digest, tmp_path):
+        out = tmp_path / "frame.json"
+        assert run("gen", *argv, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_rejects_n_one(self, tmp_path):
         assert run("gen", "--k", 3, "--N", 1, "--out", tmp_path / "x.json") == 2
@@ -237,6 +249,29 @@ class TestSweep:
         assert run("sweep", *argv, *out) == 2
         assert capsys.readouterr() == ("", f"error: {text}\n")
         assert list(tmp_path.iterdir()) == []
+
+    # the greedy pass refuses an n outside 1..m-1 only on reaching it; the range's ends are checked first
+    @pytest.mark.parametrize("k, N, n_min, n_max, first", [
+        (1, 3000, 1, 3000, 3000), (8, 25, 150, 250, 200), (8, 25, 250, 300, 250), (8, 25, -5, 300, -5),
+    ], ids=["n-max-at-m", "n-max-past-m", "n-min-past-m", "n-min-negative"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_range_outside_one_to_m_is_refused_before_any_step(self, k, N, n_min, n_max, first, to_file,
+                                                                 monkeypatch, tmp_path, capsys):
+        steps = []
+        step = selector.selection_step
+        monkeypatch.setattr(selector, "selection_step", lambda *args: steps.append(args) or step(*args))
+        out = ("--out", tmp_path / "part.csv") if to_file else ()
+        assert run("sweep", "--k", k, "--N", N, "--n-min", n_min, "--n-max", n_max, *out) == 2
+        assert capsys.readouterr() == ("", f"error: n must satisfy 1 <= n < m = {k * N}, got {first}\n")
+        assert steps == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_list_starting_with_a_minus_sign(self, capsys):
+        # after a space argparse takes -1,2 for a flag; with = it reaches harmonic_frame's refusal
+        assert run("sweep", "--k", 1, "--N-list=-1,2") == 2
+        assert capsys.readouterr() == ("", "error: norm parameter N must be at least 2, got -1\n")
+        assert run("sweep", "--help") == 0
+        assert "--N-list=-1,2" in "".join(capsys.readouterr().out.split())
 
     def test_frame_at_the_size_cap_runs(self, capsys):
         # the sweep fuzz in test_exit_codes.py draws N = 10**5 at k = 2 only, past the cap; at k = 1 it runs

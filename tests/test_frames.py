@@ -29,6 +29,7 @@ from framesel import (
     select_subset,
     validate_frame,
 )
+from oracles import dft_frame_vectors
 
 
 class TestConstruction:
@@ -79,6 +80,24 @@ class TestConstruction:
         assert validate_frame(Fa).passed
         assert np.array_equal(Fa.vectors, Fb.vectors)
         assert not np.array_equal(Fa.vectors, Fc.vectors)
+
+    # one table of the m roots gives each entry the double pair of an exponential evaluated for it alone
+    @pytest.mark.parametrize("k, N", [(1, 2), (6, 16), (8, 25), (8, 400), (32, 50), (64, 25), (1, 100_000),
+                                      (4, 25_000)])
+    def test_constructors_match_one_exponential_per_entry(self, k, N):
+        bits = harmonic_frame(k, N).vectors.view(np.uint64)
+        assert np.array_equal(bits, dft_frame_vectors(k, N).view(np.uint64))
+        for seed in (0, 1, 5, 701):
+            bits = modulated_harmonic_frame(k, N, seed=seed).vectors.view(np.uint64)
+            assert np.array_equal(bits, dft_frame_vectors(k, N, seed).view(np.uint64)), seed
+
+    def test_modulated_frame_takes_two_exponentials_per_vector(self, monkeypatch):
+        # m for the table of roots, m for the phases; not one per entry
+        sizes = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: sizes.append(np.size(x)) or exp(x, *args, **kwargs))
+        F = modulated_harmonic_frame(64, 25, seed=1)
+        assert 0 < sum(sizes) <= 2 * F.m
 
     def test_family_rejects_nan(self):
         with pytest.raises(FrameError):
