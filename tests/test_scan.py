@@ -206,7 +206,7 @@ def report_case(name):
 def count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` for the test; return the list it appends one entry per call to."""
     calls, function = [], getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or function(*args))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or function(*args, **kwargs))
     return calls
 
 
@@ -628,14 +628,22 @@ class TestReplay:
             (modulated_harmonic_frame(8, 65, seed=2), None),   # 256 steps per chunk
             *[(F, 8) for F in generic_frames().values()],       # the dense scan's frames, m = 36
             (modulated_harmonic_frame(1, 40, seed=3), 8),       # size-1 axes can pick another numpy loop
+            # on both sides of the cut between the cumulative sum and the loop of adds
+            (modulated_harmonic_frame(16, 9, seed=4), None),    # 64 steps per chunk, summed
+            (modulated_harmonic_frame(19, 5, seed=5), None),    # 45, summed
+            (modulated_harmonic_frame(20, 5, seed=6), None),    # 40, added one step at a time
+            (modulated_harmonic_frame(32, 3, seed=7), None),    # 16, added
         ],
-        ids=["modulated-4-513", "modulated-8-65", *(f"{name}-4-9" for name in generic_frames()), "modulated-1-40"],
+        ids=[
+            "modulated-4-513", "modulated-8-65", *(f"{name}-4-9" for name in generic_frames()), "modulated-1-40",
+            "modulated-16-9", "modulated-19-5", "modulated-20-5", "modulated-32-3",
+        ],
     )
     def test_chunked_replay_has_the_per_step_bits(self, F, chunk, monkeypatch):
         if chunk is not None:
             set_chunk(monkeypatch, F, chunk)
         c = selector._REPLAY_CHUNK_BYTES // (16 * F.k**2)
-        assert c == (chunk or {4: 1024, 8: 256}[F.k])
+        assert c == (chunk or {4: 1024, 8: 256, 16: 64, 19: 45, 20: 40, 32: 16}[F.k])
         ns = [c - 1, c, c + 1, 2 * c + 1]
         for n, cert in zip(ns, select_prefixes(F, ns), strict=True):
             assert replays_alike(F, order(cert), cert.schedule.values) == n
@@ -735,20 +743,27 @@ class TestReplay:
         checks = {name: detail for name, _, detail in report.checks}
         assert checks["final-norm"] == f"replay stopped at step {j} of 10"
 
-    @pytest.mark.parametrize("chunk, chunks", [(None, 7), (64, 25)], ids=["256-steps", "64-steps"])
-    def test_the_replay_tail_runs_once_per_chunk(self, chunk, chunks, monkeypatch):
-        # 1600 steps at k = 8: the replay writes its gaps and Phi as array expressions over each chunk, so the
-        # one-spectrum helpers run only for Phi of T_0; its stacked LAPACK calls run once per chunk
-        F = modulated_harmonic_frame(8, 400, seed=1)
+    @pytest.mark.parametrize(
+        "shape, chunk, chunks, cumsums",
+        [((8, 400), None, 7, 7), ((8, 400), 64, 25, 25), ((64, 25), None, 200, 0)],
+        ids=["256-steps", "64-steps", "k-64"],
+    )
+    def test_the_replay_tail_runs_once_per_chunk(self, shape, chunk, chunks, cumsums, monkeypatch):
+        # m/2 steps: the replay writes its gaps and Phi as array expressions over each chunk, so the one-spectrum
+        # helpers run only for Phi of T_0; its stacked LAPACK calls run once per chunk, and so does the cumulative
+        # sum at k = 8, while k = 64 adds its T_j one step at a time
+        F = modulated_harmonic_frame(*shape, seed=1)
         cert = select_subset(F, F.m // 2)
         if chunk is not None:
             set_chunk(monkeypatch, F, chunk)
         calls = {name: count_calls(monkeypatch, selector, name) for name in ("_gap", "_potential", "_advance")}
         calls.update({name: count_calls(monkeypatch, np.linalg, name) for name in ("eigvalsh", "solve")})
+        calls["cumsum"] = count_calls(monkeypatch, np, "cumsum")
         assert verify_certificate(F, cert).passed
         counts = {name: len(made) for name, made in calls.items()}
         # _advance only words failures
-        assert counts == {"_gap": 0, "_potential": 1, "_advance": 0, "eigvalsh": chunks, "solve": chunks}
+        want = {"_gap": 0, "_potential": 1, "_advance": 0, "eigvalsh": chunks, "solve": chunks, "cumsum": cumsums}
+        assert counts == want
 
     def test_crossing_ends_the_replay_before_a_later_overflow_in_its_chunk(self, monkeypatch):
         # T_5 = 0.8e308 per entry crosses its barrier; the chunk builds T_6 before it sees that,

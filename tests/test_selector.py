@@ -400,6 +400,15 @@ class TestPrefixes:
         for n, cert in zip(ns, select_prefixes(frame, ns), strict=True):
             assert_same_certificate(cert, select_subset(frame, n))
 
+    def test_every_n_of_a_longer_range(self):
+        # the final set is carried from row to row, and each row's must be a fresh run's
+        frame = modulated_harmonic_frame(4, 100, seed=2)
+        ns = range(1, frame.m)
+        for n, cert in zip(ns, select_prefixes(frame, ns), strict=True):
+            if n % 7 == 0 or n > frame.m - 4:
+                assert_same_certificate(cert, select_subset(frame, n))
+            assert type(cert.indices[0]) is int and cert.indices == tuple(sorted(s.index for s in cert.steps))
+
     def test_repeated_and_skipped_n(self):
         frame = harmonic_frame(3, 8)
         ns = [2, 2, 5, 11, 23]
@@ -650,6 +659,19 @@ class TestVerification:
         assert report.checks == (("compatibility", False, text),)
         assert math.isnan(report.final_margin) and math.isnan(report.min_step_margin)
         assert report.min_margin_step is None
+        with pytest.raises(CertificateMismatchError) as excinfo:
+            complement_lower_bound(F, cert)
+        assert str(excinfo.value) == text
+
+    @pytest.mark.parametrize("first, second", [(-4, 10**30), (10**30, -4)], ids=["negative-first", "huge-first"])
+    def test_the_first_index_outside_the_frame_is_named(self, first, second):
+        # the bounds are read as a whole, and the text names the first offender in the final set's order
+        F = harmonic_frame(4, 9)
+        data = certificate_to_dict(select_subset(F, 10))
+        data["final"]["indices"][2], data["final"]["indices"][6] = first, second
+        cert = certificate_from_dict(data)
+        text = f"certificate index {first} outside 1..36"
+        assert verify_certificate(F, cert).checks == (("compatibility", False, text),)
         with pytest.raises(CertificateMismatchError) as excinfo:
             complement_lower_bound(F, cert)
         assert str(excinfo.value) == text
