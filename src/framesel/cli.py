@@ -108,12 +108,7 @@ def _sweep_rows(args: argparse.Namespace):
             frame = harmonic_frame(args.k, N)
             yield frame, select_subset(frame, round(ratio * frame.m))
     else:
-        # one greedy run serves the whole n-range: each n is a prefix of it. That run refuses
-        # an n outside 1..m-1 only on reaching it, so the range's first such n is refused first.
         frame = harmonic_frame(args.k, args.N)
-        first_bad = args.n_min if args.n_min < 1 else max(args.n_min, frame.m)
-        if first_bad <= args.n_max:
-            raise ValueError(f"n must satisfy 1 <= n < m = {frame.m}, got {first_bad}")
         for cert in select_prefixes(frame, range(args.n_min, args.n_max + 1)):
             yield frame, cert
 

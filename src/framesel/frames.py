@@ -160,7 +160,9 @@ def validate_frame(F: FrameFamily, tol: float = _FRAME_TOL) -> FrameValidationRe
     with np.errstate(over="ignore", invalid="ignore"):  # squares that overflow read as inf/NaN deviations
         norms2 = np.sum(np.abs(F.vectors) ** 2, axis=1)
         norm_dev = float(np.max(np.abs(norms2 - 1 / F.N))) if F.m else 0.0
-        parseval_dev = float(np.linalg.norm(F.rank_one_sum() - np.eye(F.k)))
+        # the smaller of the k x k and m x m products: ||V*V - I_k||_F^2 = ||VV* - I_m||_F^2 + (k - m)
+        gram = F.rank_one_sum() if F.m >= F.k else F.vectors.conj() @ F.vectors.T
+        parseval_dev = float(np.hypot(np.linalg.norm(gram - np.eye(len(gram))), math.sqrt(max(0, F.k - F.m))))
     return FrameValidationReport(
         k=F.k,
         N=F.N,
@@ -280,11 +282,6 @@ def _array(value) -> list:
     return value
 
 
-def _encode_complex_rows(rows: np.ndarray) -> list:
-    # a complex128 entry is its [re, im] pair of doubles in memory
-    return np.ascontiguousarray(rows, dtype=np.complex128)[..., None].view(np.float64).tolist()
-
-
 def _decode_complex_rows(data, rows: int, cols: int) -> np.ndarray:
     try:
         # [] has shape (0,) as an array: it is the empty block of any row length.
@@ -307,7 +304,8 @@ def _decode_complex_rows(data, rows: int, cols: int) -> np.ndarray:
 
 
 def frame_to_dict(F: FrameFamily) -> dict:
-    return {"k": F.k, "N": F.N, "m": F.m, "vectors": _encode_complex_rows(F.vectors)}
+    # a complex128 entry of the C-contiguous vectors is its [re, im] pair of doubles in memory
+    return {"k": F.k, "N": F.N, "m": F.m, "vectors": F.vectors[..., None].view(np.float64).tolist()}
 
 
 def frame_from_dict(data: dict) -> FrameFamily:

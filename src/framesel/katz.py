@@ -57,10 +57,6 @@ class KatzSystem:
     def num_points(self) -> int:
         return int(self.masks.shape[0])
 
-    def point_members(self, point: int) -> tuple[int, ...]:
-        """Decode point (0-based position) to its 1-based ground elements."""
-        return _members(int(self.masks[point]), self.ground_size)
-
     def intersection_counts(self, indices) -> np.ndarray:
         """|A intersect S| for every point A, as exact integers."""
         s_mask = _index_mask(self, indices)

@@ -31,8 +31,9 @@ stacked solve with the a_j I - T_{j-1} for U, and one factorization of T_n.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,25 +423,28 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
     return next_state, record
 
 
-def select_prefixes(F: FrameFamily, ns: Iterable[int]) -> Iterator[SelectionCertificate]:
+def select_prefixes(F: FrameFamily, ns: Sequence[int]) -> Iterator[SelectionCertificate]:
     """Yield ``select_subset(F, n)`` for each n of the nondecreasing ``ns``, from one run.
 
     a_j does not depend on n, so the run for n is the first n steps of any
-    longer run: each step is taken once. An n outside 1..m-1 raises
-    ValueError when reached, after the certificates before it.
+    longer run: each step is taken once. ``ns`` is walked twice, so it must be a
+    sequence: an n outside 1..m-1 or below the one before raises ValueError before any step.
     """
     report = validate_frame(F)
     if not report.count_ok:
         raise FrameError(f"invalid frame: {report.summary()}")
     if report.norm_deviation > _RESCALE_LIMIT or report.parseval_deviation > _RESCALE_LIMIT:
         raise FrameError(f"frame too far from contract: {report.summary()}")
+    if iter(ns) is ns:
+        raise TypeError("ns must be a sequence such as a range or a tuple: it is checked in full before the first step")
+    for previous, n in itertools.pairwise(itertools.chain((0,), ns)):
+        if not 1 <= n < F.m:
+            raise ValueError(f"n must satisfy 1 <= n < m = {F.m}, got {n}")
+        if n < previous:
+            raise ValueError(f"n must not decrease, got {n} after {previous}")
     state = initial_selection_state(F)
     steps, chosen = [], np.zeros(F.m + 1, dtype=bool)  # chosen[i]: index i is in the set, so it reads back sorted
     for n in ns:
-        if not 1 <= n < F.m:
-            raise ValueError(f"n must satisfy 1 <= n < m = {F.m}, got {n}")
-        if n < state.step:
-            raise ValueError(f"n must not decrease, got {n} after {state.step}")
         schedule = barrier_schedule(F.N, F.m, n)
         while state.step < n:
             state, record = selection_step(state, schedule)

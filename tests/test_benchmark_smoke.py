@@ -1,4 +1,4 @@
-"""A short untraced run of two benchmark workloads, so that a change which breaks their gates fails here.
+"""A short untraced run of every benchmark workload, so that a change which breaks their gates fails here.
 
 Each runs ``perfbench/run.py`` as a subprocess for 0.1 s, with the interpreter
 told to write no bytecode, so the run leaves no ``__pycache__`` beside the
@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-END_TO_END = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+MANIFEST = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = [metric["name"] for metric in MANIFEST["end_to_end"]]
 
 
-@pytest.mark.parametrize("workload", ["select-tall", "cli-sweep"])
+@pytest.mark.parametrize("workload", [workload["name"] for workload in MANIFEST["workloads"]])
 def test_a_short_run_passes_its_gates(workload):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3", "--seconds", "0.1", "--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}

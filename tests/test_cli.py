@@ -360,7 +360,11 @@ class TestRefusals:
         ("select", "frame", {"k": 0}, "frame vectors: expected 36 rows of 0 [re, im] pairs, got shape (36, 4, 2)\n"),
         ("select", "frame", {"N": 10}, "invalid frame: FAIL: m=36 (expected 40), "),
         ("select", "frame", {"N": 10**400}, f"invalid frame: FAIL: m=36 (expected {4 * 10**400}), "),
-    ], ids=["select-deep-frame", "verify-deep-frame", "verify-deep-cert", "N-one", "k-zero", "m-not-kN", "huge-N"])
+        # fewer vectors than dimensions: the deviation comes from the m x m Gram, not a k x k array of 142 PiB
+        ("select", "frame", {"k": 10**8, "N": 2, "m": 0, "vectors": []},
+         "invalid frame: FAIL: m=0 (expected 200000000), "),
+    ], ids=["select-deep-frame", "verify-deep-frame", "verify-deep-cert", "N-one", "k-zero", "m-not-kN", "huge-N",
+            "k-huge-m-zero"])
     def test_unusable_file_exits_2_with_one_error_line(self, command, name, edit, text, frame_file, tmp_path, capsys):
         files = {"frame": frame_file, "cert": tmp_path / "cert.json"}
         assert run("select", "--frame", frame_file, "--n", 9, "--out", files["cert"]) == 0

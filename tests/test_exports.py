@@ -37,3 +37,6 @@ def test_members_only_tests_read_are_gone():
     assert not hasattr(framesel.EigenSystem, "dim") and not hasattr(framesel.EigenSystem, "reconstruct")
     assert not hasattr(framesel.DiagonalSelector, "size")
     assert not hasattr(framesel.KatzSystem, "function_sum_values")
+    assert not hasattr(framesel.KatzSystem, "point_members")  # tests decode the masks themselves
+    # frame_to_dict reads the stored C-contiguous complex128 array's doubles directly
+    assert not hasattr(framesel.frames, "_encode_complex_rows")

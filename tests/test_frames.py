@@ -142,6 +142,14 @@ class TestValidation:
         assert not report.count_ok
         assert not report.passed
 
+    def test_half_frame_deviation_is_the_k_by_k_one(self):
+        # below m = k the deviation is read from the m x m Gram, plus k - m for the missing rank
+        F = modulated_harmonic_frame(16, 2, seed=5)
+        half = FrameFamily(k=16, N=2, vectors=F.vectors[::4])
+        want = np.linalg.norm(half.vectors.T @ half.vectors.conj() - np.eye(16))
+        assert half.m == 8
+        assert validate_frame(half).parseval_deviation == pytest.approx(want, rel=1e-12)
+
     def test_empty_family_fails_count(self):
         empty = FrameFamily(k=2, N=2, vectors=np.zeros((0, 2)))
         assert not validate_frame(empty).count_ok

@@ -111,14 +111,14 @@ class TestConstruction:
 
     def test_every_point_has_n_elements(self):
         system = build_katz(4)
-        for pos in range(system.num_points):
-            assert len(system.point_members(pos)) == 4
+        for mask in system.masks:
+            assert len(ground_set(mask, 8)) == 4
 
     def test_lexicographic_order(self):
         system = build_katz(2)
-        assert system.point_members(0) == (1, 2)
-        assert system.point_members(1) == (1, 3)
-        assert system.point_members(-1 % system.num_points) == (3, 4)
+        assert ground_set(system.masks[0], 4) == {1, 2}
+        assert ground_set(system.masks[1], 4) == {1, 3}
+        assert ground_set(system.masks[-1], 4) == {3, 4}
 
     @pytest.mark.parametrize("N", range(1, 11))
     def test_masks_match_itertools_combinations(self, N):
@@ -135,8 +135,8 @@ class TestConstruction:
     def test_n1_system(self):
         system = build_katz(1)
         assert system.num_points == 2
-        assert system.point_members(0) == (1,)
-        assert system.point_members(1) == (2,)
+        assert ground_set(system.masks[0], 2) == {1}
+        assert ground_set(system.masks[1], 2) == {2}
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -415,18 +415,32 @@ class TestPrefixes:
         for n, cert in zip(ns, select_prefixes(frame, ns), strict=True):
             assert_same_certificate(cert, select_subset(frame, n))
 
-    def test_bad_n_raises_when_reached(self):
-        frame = harmonic_frame(2, 4)
-        prefixes = select_prefixes(frame, [3, 8])
-        assert next(prefixes).n == 3
-        with pytest.raises(ValueError):
-            next(prefixes)
+    def test_bad_n_raises_before_any_step(self, monkeypatch):
+        # every n is checked on the first next(); a huge range is walked to its first bad n, never listed
+        steps = []
+        monkeypatch.setattr(selector, "selection_step", lambda *args: steps.append(1))
+        cases = [
+            (harmonic_frame(2, 4), [3, 8], 8),
+            (harmonic_frame(2, 4), range(1, 2**62), 8),
+            (harmonic_frame(2, 4), range(-1, 2**62), -1),
+            (harmonic_frame(1, 3000), range(1, 3001), 3000),
+        ]
+        for frame, ns, bad in cases:
+            with pytest.raises(ValueError, match=re.escape(f"n must satisfy 1 <= n < m = {frame.m}, got {bad}")):
+                next(select_prefixes(frame, ns))
+        assert steps == []
 
-    def test_decreasing_n_rejected(self):
-        prefixes = select_prefixes(harmonic_frame(2, 4), [3, 2])
-        next(prefixes)
-        with pytest.raises(ValueError):
-            next(prefixes)
+    def test_an_iterator_is_refused_not_used_up(self):
+        # the check walks ns before the greedy pass walks it again, so a one-shot iterator would yield nothing
+        with pytest.raises(TypeError, match="ns must be a sequence"):
+            next(select_prefixes(harmonic_frame(2, 4), iter([3, 5])))
+
+    def test_decreasing_n_rejected(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(selector, "selection_step", lambda *args: steps.append(1))
+        with pytest.raises(ValueError, match=re.escape("n must not decrease, got 2 after 3")):
+            next(select_prefixes(harmonic_frame(2, 4), [3, 2]))
+        assert steps == []
 
 
 class TestAveraging:
