@@ -35,6 +35,8 @@ class FrameFamily:
     vectors: np.ndarray  # (m, k) complex128, row i holds vector i
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer(self.k))
+        object.__setattr__(self, "N", _integer(self.N))
         if self.k < 1:
             raise FrameError(f"dimension k must be positive, got {self.k}")
         if self.N < 2:
@@ -109,6 +111,7 @@ def _checked_indices(indices, m: int) -> np.ndarray:
 
 
 def _check_parameters(k: int, N: int) -> int:
+    k, N = _integer(k), _integer(N)
     if k < 1:
         raise FrameError(f"dimension k must be positive, got {k}")
     if N < 2:

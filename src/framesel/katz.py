@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .frames import _write_json
+from .frames import _integer, _write_json
 
 _BUILD_CAP = 200_000       # largest |X| = C(2N, N) that build_katz enumerates
 _EXHAUSTIVE_MAX_N = 10     # auto mode walks all 2^(2N) subsets up to this N, the largest build_katz builds
@@ -48,6 +48,9 @@ class KatzSystem:
 
     N: int
     masks: np.ndarray  # (C(2N, N),) uint64, read-only
+
+    def __post_init__(self):
+        object.__setattr__(self, "N", _integer(self.N))
 
     @property
     def ground_size(self) -> int:
@@ -103,7 +106,9 @@ def build_katz(N: int) -> KatzSystem:
     closed-form range needs no enumeration and keeps working at any size.
     C(2N, N) >= 2^N, so an N at or past the cap's bit length is refused
     without computing the binomial, which has millions of digits at N = 10^6.
+    N must be an integer: a float or a bool raises TypeError.
     """
+    N = _integer(N)
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     size = math.comb(2 * N, N) if N < _BUILD_CAP.bit_length() else None

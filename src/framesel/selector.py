@@ -76,7 +76,8 @@ class BarrierSchedule:
 
 
 def barrier_schedule(N: int, m: int, n: int) -> BarrierSchedule:
-    """a_j = 1/sqrt(N) + (1 + 1/(sqrt(N) - 1)) * j/m for j = 0..n."""
+    """a_j = 1/sqrt(N) + (1 + 1/(sqrt(N) - 1)) * j/m for j = 0..n; N, m and n must be integers."""
+    N, m, n = _integer(N), _integer(m), _integer(n)
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
     if m < 1:
@@ -164,7 +165,8 @@ def _rank_one_update(eig: EigenSystem, v: np.ndarray) -> EigenSystem:
     r = np.abs(z)
     p = np.ones_like(z)
     np.divide(z, r, out=p, where=r > 0.0)
-    A, tol, W = np.diag(d) + np.outer(r, r), _DEFLATION_TOL * max(1.0, d[-1]), None
+    A, tol, W = r[:, None] * r, _DEFLATION_TOL * max(1.0, d[-1]), None
+    A.ravel()[:: d.shape[0] + 1] += d  # Lambda + r r^T in place; IEEE addition commutes, so each entry is exact
     if d.shape[0] >= _LOWNER_MIN_K and r.min() > tol and np.diff(d).min() > tol:
         mu = np.linalg.eigvalsh(A)
         gain = _LOWNER_GAIN / (max(1.0, mu[-1]) * math.sqrt(r @ r))  # largest r_c / offset allowed
@@ -366,8 +368,11 @@ def _scan(state: SelectionState, schedule: BarrierSchedule) -> tuple:
     M = (eig.eigenvectors * weights) @ eig.eigenvectors.conj().T
     m = state.frame.m
     sums = np.bincount(bins, M.view(np.float64).ravel(), 2 * m).view(np.complex128)
-    # M is Hermitian, so sums[m - s] = conj(sums[s]) and the transform is real
-    return a_next, np.fft.irfft(sums[: m // 2 + 1], m)[state.remaining - 1]
+    # M is Hermitian, so sums[m - s] = conj(sums[s]) and the transform is real; it lands in u[1:], so U_i is u[i]
+    # and the 1-based remaining gathers it with no shifted copy
+    u = np.empty(m + 1)
+    np.fft.irfft(sums[: m // 2 + 1], m, out=u[1:])
+    return a_next, u[state.remaining]
 
 
 def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[SelectionState, SelectionStep]:
@@ -415,7 +420,7 @@ def selection_step(state: SelectionState, schedule: BarrierSchedule) -> tuple[Se
         tie_count=tie_count,
         band_gap=float(profile.min(where=~inside, initial=math.inf)) - edge,
     )
-    remaining = np.delete(state.remaining, pos)
+    remaining = np.concatenate((state.remaining[:pos], state.remaining[pos + 1 :]))  # np.delete costs twice this
     remaining.setflags(write=False)
     next_state = SelectionState(
         frame=state.frame, remaining=remaining, step=j + 1, eig=eig_next, phi=phi_next, dft_bins=state.dft_bins
@@ -428,7 +433,8 @@ def select_prefixes(F: FrameFamily, ns: Sequence[int]) -> Iterator[SelectionCert
 
     a_j does not depend on n, so the run for n is the first n steps of any
     longer run: each step is taken once. ``ns`` is walked twice, so it must be a
-    sequence: an n outside 1..m-1 or below the one before raises ValueError before any step.
+    sequence: an n that is not an integer raises TypeError, and one outside 1..m-1 or below the one before
+    ValueError, before any step.
     """
     report = validate_frame(F)
     if not report.count_ok:
@@ -438,7 +444,7 @@ def select_prefixes(F: FrameFamily, ns: Sequence[int]) -> Iterator[SelectionCert
     if iter(ns) is ns:
         raise TypeError("ns must be a sequence such as a range or a tuple: it is checked in full before the first step")
     for previous, n in itertools.pairwise(itertools.chain((0,), ns)):
-        if not 1 <= n < F.m:
+        if not 1 <= _integer(n) < F.m:
             raise ValueError(f"n must satisfy 1 <= n < m = {F.m}, got {n}")
         if n < previous:
             raise ValueError(f"n must not decrease, got {n} after {previous}")

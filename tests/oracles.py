@@ -9,7 +9,10 @@ bitmasks, set-system extremes by popcounting every point instead of split
 masks, resolvents by chained rank-one downdates, and the certificate replay
 one step at a time instead of in stacked chunks, and DFT frame entries by one
 exponential each instead of a table of the m roots. Slow and simple on purpose;
-tests compare the fast paths against these.
+tests compare the fast paths against these. One oracle is the package's own
+route, copied: ``select_per_step`` is the greedy step as it stood before its
+copy-free trims (the FFT scan's gather by ``remaining - 1``, ``np.delete``, and
+``np.diag`` plus ``np.outer``), so a test can hold every step to its bits.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import math
 import numpy as np
 
 from framesel.hermitian import EigenSystem, outer_product_accumulate, resolvent_rank_one_downdate
-from framesel.selector import _advance, _gap, _potential
+from framesel import selector
+from framesel.selector import SelectionStep, _advance, _gap, _potential, barrier_schedule, initial_selection_state
 
 _KATZ_BLOCK_BYTES = 1 << 18  # count_extremes_all_points' AND buffer per block of subsets
 
@@ -253,6 +257,104 @@ def replay_per_step(F, order, values):
         phi, failure = _advance(_potential(eigenvalues, a), eigenvalues_next, a_next)
         yield u, eigenvalues_next, phi, failure, T
         eigenvalues = eigenvalues_next
+
+
+def select_per_step(F, n):
+    """Yield (SelectionStep, spectrum of T_j) for each step j of ``select_subset(F, n)``, one step as first written.
+
+    The step is the package's, copied with the expressions it had before three
+    trims that keep its bits: the FFT scan gathers U by the shifted
+    ``remaining - 1``, the chosen index leaves ``remaining`` by ``np.delete``,
+    and the update builds Lambda + r r^T as ``np.diag(d) + np.outer(r, r)``. It
+    has its own copies of the potential, the gap, the weights, the Loewner
+    vectors and the two checks after the update, so a change to any of the
+    package's shows as a different bit. The start (T_0's eigensystem and the
+    FFT bins), the schedule and the tolerances are the package's. A run that
+    the package refuses raises RuntimeError here.
+    """
+
+    def potential(eigenvalues, a):
+        if a <= eigenvalues[-1]:
+            raise RuntimeError(f"barrier violated: a = {a} <= lambda_max = {eigenvalues[-1]}")
+        return float((1.0 / (a - eigenvalues)).sum())
+
+    def gap_of(eigenvalues, a, a_next):
+        gap = float((a_next - a) * (1.0 / ((a - eigenvalues) * (a_next - eigenvalues))).sum())
+        if gap <= selector._GAP_FLOOR:
+            raise RuntimeError(f"potential gap {gap:.3e} at or below the floor")
+        return gap
+
+    def weights_of(eigenvalues, a_next, gap):
+        inv_next = 1.0 / (a_next - eigenvalues)
+        return inv_next * inv_next / gap + inv_next
+
+    def lowner_vectors(d, mu):
+        k = d.shape[0]
+        gaps = (d - d[:, None]).ravel()[1:].reshape(k - 1, k + 1)[:, :-1].reshape(k, k - 1)
+        W = np.sqrt((mu[-1] - d) * ((mu[:-1] - d[:, None]) / gaps).prod(axis=1))[:, None] / (d[:, None] - mu)
+        return W / np.sqrt(np.einsum("ic,ic->c", W, W))
+
+    def rank_one_update(eig, v):
+        E, d = eig.eigenvectors, eig.eigenvalues
+        z = E.conj().T @ v
+        r = np.abs(z)
+        p = np.ones_like(z)
+        np.divide(z, r, out=p, where=r > 0.0)
+        A, tol, W = np.diag(d) + np.outer(r, r), selector._DEFLATION_TOL * max(1.0, d[-1]), None
+        if d.shape[0] >= selector._LOWNER_MIN_K and r.min() > tol and np.diff(d).min() > tol:
+            mu = np.linalg.eigvalsh(A)
+            gain = selector._LOWNER_GAIN / (max(1.0, mu[-1]) * math.sqrt(r @ r))
+            if (r < gain * (mu - d)).all() and (r[1:] < gain * (d[1:] - mu[:-1])).all():
+                W = lowner_vectors(d, mu)
+        if W is None:
+            mu, W = np.linalg.eigh(A)
+        Ep = E * p
+        vectors = np.empty_like(Ep)
+        vectors.real = Ep.real @ W
+        vectors.imag = Ep.imag @ W
+        return EigenSystem(eigenvalues=mu, eigenvectors=vectors)
+
+    def scan(remaining, eig, a, a_next):
+        weights = weights_of(eig.eigenvalues, a_next, gap_of(eig.eigenvalues, a, a_next))
+        if bins is None:
+            return np.abs(F.vectors[remaining - 1] @ eig.eigenvectors.conj()) ** 2 @ weights
+        M = (eig.eigenvectors * weights) @ eig.eigenvectors.conj().T
+        sums = np.bincount(bins, M.view(np.float64).ravel(), 2 * F.m).view(np.complex128)
+        return np.fft.irfft(sums[: F.m // 2 + 1], F.m)[remaining - 1]
+
+    state = initial_selection_state(F)
+    remaining, eig, phi, bins = state.remaining, state.eig, state.phi, state.dft_bins
+    values = barrier_schedule(F.N, F.m, n).values
+    for j in range(n):
+        a, a_next = float(values[j]), float(values[j + 1])
+        profile = scan(remaining, eig, a, a_next)
+        u_min = float(profile.min())
+        edge = u_min + selector._TIE_BAND * max(1.0, u_min)
+        inside = profile <= edge
+        pos = int(inside.argmax())
+        u_best = float(profile[pos])
+        if u_best > 1.0 + selector._FEASIBILITY_SLACK:
+            raise RuntimeError(f"no feasible candidate at step {j}: chosen U = {u_best}")
+        index = int(remaining[pos])
+        eig = rank_one_update(eig, F.vectors[index - 1])
+        lam = float(eig.eigenvalues[-1])
+        if lam >= a_next:
+            raise RuntimeError(f"step {j + 1}: norm bound breached: lambda_max = {lam} >= a_next = {a_next}")
+        phi_next = potential(eig.eigenvalues, a_next)
+        if phi_next > phi + selector._POTENTIAL_SLACK:
+            raise RuntimeError(f"step {j + 1}: potential rose: {phi_next} > {phi}")
+        yield SelectionStep(
+            j=j + 1,
+            index=index,
+            feasibility=u_best,
+            potential=phi_next,
+            lambda_max=lam,
+            feasibility_sum=float(profile.sum()),
+            remaining_count=len(profile),
+            tie_count=int(np.count_nonzero(inside)),
+            band_gap=float(profile.min(where=~inside, initial=math.inf)) - edge,
+        ), eig.eigenvalues
+        remaining, phi = np.delete(remaining, pos), phi_next
 
 
 def composed_resolvent_inverse(a: float, vectors: np.ndarray) -> np.ndarray:

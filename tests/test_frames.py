@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,28 @@ class TestConstruction:
         # exact unitary structure keeps both deviations at roundoff level
         assert report.norm_deviation < 1e-12
         assert report.parseval_deviation < 1e-12
+
+    def test_numpy_integer_parameters_give_the_int_frame(self, tmp_path):
+        for name, (k, N) in (("int", (4, 25)), ("int64", (np.int64(4), np.int64(25)))):
+            for F in (harmonic_frame(k, N), modulated_harmonic_frame(k, N, seed=3), FrameFamily(k, N, np.eye(4, k))):
+                assert type(F.k) is int and type(F.N) is int
+            save_frame(harmonic_frame(k, N), tmp_path / f"harmonic-{name}.json")
+            save_frame(modulated_harmonic_frame(k, N, seed=3), tmp_path / f"modulated-{name}.json")
+        for kind in ("harmonic", "modulated"):
+            assert (tmp_path / f"{kind}-int64.json").read_bytes() == (tmp_path / f"{kind}-int.json").read_bytes()
+
+    @pytest.mark.parametrize("k, N", [(True, 25), (8.0, 25), (8, 25.0), (8, True), (np.float64(8.0), 25)], ids=repr)
+    def test_float_and_bool_parameters_are_refused(self, k, N, tmp_path):
+        bad = k if type(k) is not int else N
+        text = f"^{re.escape(f'expected an integer, got {bad!r}')}$"
+        path = tmp_path / "frame.json"
+        with pytest.raises(TypeError, match=text):
+            save_frame(harmonic_frame(k, N), path)
+        with pytest.raises(TypeError, match=text):
+            save_frame(modulated_harmonic_frame(k, N, seed=1), path)
+        with pytest.raises(TypeError, match=text):
+            FrameFamily(k=k, N=N, vectors=harmonic_frame(8, 25).vectors)
+        assert list(tmp_path.iterdir()) == []
 
     def test_norms_exactly_one_over_n(self):
         F = harmonic_frame(3, 4)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -108,6 +109,23 @@ class TestConstruction:
     def test_point_counts(self, N, size):
         assert build_katz(N).num_points == size
         assert build_katz(N).num_points == math.comb(2 * N, N)
+
+    def test_numpy_integer_n_gives_the_int_report(self, tmp_path):
+        for name, N in (("int", 5), ("int64", np.int64(5))):
+            system = build_katz(N)
+            assert type(system.N) is int
+            save_dichotomy_report(dichotomy_check(system), tmp_path / f"{name}.json")
+        assert (tmp_path / "int64.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+        assert type(KatzSystem(N=np.int64(2), masks=build_katz(2).masks).N) is int
+
+    @pytest.mark.parametrize("N", [5.0, True, np.float64(5.0)], ids=repr)
+    def test_float_and_bool_n_are_refused(self, N, tmp_path):
+        text = f"^{re.escape(f'expected an integer, got {N!r}')}$"
+        with pytest.raises(TypeError, match=text):
+            save_dichotomy_report(dichotomy_check(build_katz(N)), tmp_path / "report.json")
+        with pytest.raises(TypeError, match=text):
+            KatzSystem(N=N, masks=build_katz(5).masks)
+        assert list(tmp_path.iterdir()) == []
 
     def test_every_point_has_n_elements(self):
         system = build_katz(4)

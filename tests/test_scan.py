@@ -46,7 +46,7 @@ from framesel.hermitian import (
     resolvent_quadratic_form,
 )
 
-from oracles import jacobi_eigh, reconstruct, replay_per_step
+from oracles import jacobi_eigh, reconstruct, replay_per_step, select_per_step
 
 # criterion 11's frames and sizes
 N_LIST = [(harmonic_frame(4, N), 2 * N) for N in (25, 100, 400)]
@@ -404,6 +404,40 @@ class TestTieBand:
         assert order(cert) == [1, 2, 3, 4, 5]
         assert [s.tie_count for s in cert.steps] == [6, 5, 4, 3, 2]
         assert all(s.band_gap == np.inf for s in cert.steps)
+
+
+class TestStepBits:
+    """The step as it stood before its copy-free trims, ``select_per_step``, must have the package's bits."""
+
+    @pytest.mark.parametrize(
+        "F, n",
+        [
+            (modulated_harmonic_frame(8, 400, seed=1), 1600),  # the FFT scan and eigh; the smallest band_gap measured
+            (modulated_harmonic_frame(32, 50, seed=1), 800),   # the Loewner route
+            (harmonic_frame(LOWNER_K, 25), 250),               # harmonic spectra cluster: every step deflates to eigh
+            (generic_frames()["haar-rotated"], 35),            # the dense scan
+        ],
+        ids=["modulated-8-400", "modulated-32-50", f"harmonic-{LOWNER_K}-25", "haar-rotated-4-9"],
+    )
+    def test_every_step_keeps_its_bits(self, F, n):
+        cert = select_subset(F, n)
+        steps, spectra = zip(*select_per_step(F, n), strict=True)
+        assert cert.steps == steps  # every field, diagnostics included
+        assert np.array_equal(cert.eigenvalues.view(np.uint64), spectra[-1].view(np.uint64))
+
+    def test_sweep_rows_keep_their_bits(self):
+        F = harmonic_frame(8, 25)
+        steps, spectra = zip(*select_per_step(F, 199), strict=True)
+        ns = range(1, 200)
+        for n, cert in zip(ns, select_prefixes(F, ns), strict=True):
+            assert cert.steps == steps[:n]
+            assert np.array_equal(cert.eigenvalues.view(np.uint64), spectra[n - 1].view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(8, 400), (64, 25)], ids=["modulated-8-400", "modulated-64-25"])
+    def test_a_run_makes_no_delete_diag_or_outer(self, shape, monkeypatch):
+        calls = {name: count_calls(monkeypatch, np, name) for name in ("delete", "diag", "outer")}
+        select_subset(modulated_harmonic_frame(*shape, seed=1), 200)
+        assert {name: len(made) for name, made in calls.items()} == {"delete": 0, "diag": 0, "outer": 0}
 
 
 class TestRankOneUpdate:

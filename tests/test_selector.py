@@ -297,6 +297,23 @@ class TestSelection:
         assert len(err.value.u_profile) == F.m
         assert err.value.remaining.tolist() == list(range(1, F.m + 1))
 
+    def test_selection_error_at_a_later_step_carries_the_scan_of_its_remaining(self, monkeypatch):
+        # the FFT scan gathers U by the 1-based remaining; after 5 steps an off-by-one would show as another index's U
+        F = modulated_harmonic_frame(6, 16, seed=3)
+        sched = barrier_schedule(F.N, F.m, 10)
+        state = initial_selection_state(F)
+        assert state.dft_bins is not None
+        for _ in range(5):
+            state, _ = selection_step(state, sched)
+        monkeypatch.setattr(selector, "_FEASIBILITY_SLACK", -2.0)
+        with pytest.raises(SelectionError) as err:
+            selection_step(state, sched)
+        remaining = err.value.remaining
+        assert remaining.tolist() == state.remaining.tolist() and len(remaining) == F.m - 5
+        dense = selector._scan(dataclasses.replace(state, remaining=remaining, dft_bins=None), sched)[1]
+        assert len(err.value.u_profile) == len(remaining)
+        np.testing.assert_allclose(err.value.u_profile, dense, rtol=1e-12, atol=0.0)
+
     def test_schedule_exhaustion_and_empty_remaining(self):
         F = harmonic_frame(1, 3)
         sched = barrier_schedule(F.N, F.m, 1)
@@ -441,6 +458,40 @@ class TestPrefixes:
         with pytest.raises(ValueError, match=re.escape("n must not decrease, got 2 after 3")):
             next(select_prefixes(harmonic_frame(2, 4), [3, 2]))
         assert steps == []
+
+
+class TestIntegerCounts:
+    """n, and the schedule's N and m, are integers: a numpy integer acts as the int, a float or a bool is refused."""
+
+    def test_numpy_integers_give_the_int_certificate(self, tmp_path):
+        F = harmonic_frame(4, 9)
+        for name, n in (("int", 5), ("int64", np.int64(5))):
+            cert = select_subset(F, n)
+            assert type(cert.schedule.n) is int
+            save_certificate(cert, tmp_path / f"{name}.json")
+        assert (tmp_path / "int64.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+        for cert, want in zip(select_prefixes(F, np.arange(1, F.m)), select_prefixes(F, range(1, F.m)), strict=True):
+            assert_same_certificate(cert, want)
+        sched, want = barrier_schedule(*map(np.int64, (9, 36, 35))), barrier_schedule(9, 36, 35)
+        assert (type(sched.N), type(sched.m), type(sched.n)) == (int, int, int)
+        assert sched.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("n", [5.0, 5.5, True, np.float64(5.0), np.bool_(True)], ids=repr)
+    def test_float_and_bool_n_are_refused_before_any_step(self, n, tmp_path, monkeypatch):
+        steps = []
+        monkeypatch.setattr(selector, "selection_step", lambda *args: steps.append(1))
+        path = tmp_path / "cert.json"
+        for ns in ((n,), (2, n)):
+            with pytest.raises(TypeError, match=f"^{re.escape(f'expected an integer, got {n!r}')}$"):
+                save_certificate(next(select_prefixes(harmonic_frame(4, 9), ns)), path)
+        with pytest.raises(TypeError, match=re.escape(repr(n))):
+            save_certificate(select_subset(harmonic_frame(4, 9), n), path)
+        assert steps == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [(9.0, 36, 5), (9, 36.0, 5), (9, 36, 5.0), (True, 36, 5), (9, 36, True)])
+    def test_float_and_bool_schedule_parameters_are_refused(self, args):
+        with pytest.raises(TypeError, match="expected an integer"):
+            barrier_schedule(*args)
 
 
 class TestAveraging:
